@@ -1,15 +1,13 @@
 """No Restart Random Walk tree growth: simulator, analytic oracles and a
 statistical verification harness."""
 
-from .engine import (ConfigError, GrowingTree, PrngStream, SimConfig,
-                     StepEvent, WalkerState, init, run, walker_step)
-from .stats import RunCollectors, collect_run
+from .engine import ConfigError, GrowingTree, PrngStream, SimConfig, run
+from .stats import RunStats, collect_run
 from .harness import ExperimentSpec, run_experiment, verify
 
 __all__ = [
-    "ConfigError", "GrowingTree", "PrngStream", "SimConfig", "StepEvent",
-    "WalkerState", "init", "run", "walker_step", "RunCollectors",
-    "collect_run", "ExperimentSpec", "run_experiment", "verify",
+    "ConfigError", "GrowingTree", "PrngStream", "SimConfig", "run",
+    "RunStats", "collect_run", "ExperimentSpec", "run_experiment", "verify",
 ]
 
 __version__ = "0.1.0"

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 
 import click
 
-from . import engine, harness, oracles, stats
+from . import engine, harness, oracles
 from .engine import SimConfig
+from .harness import output_root, write_lines, write_run_stats
 from .stats import collect_run, log_grid
-
-
-def _out_dir(out: str) -> Path:
-    path = Path(os.environ.get("NRRW_OUT", out))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 @click.group()
@@ -33,21 +27,14 @@ def main():
 def simulate(s, nodes, seed, trajectory, out):
     """Run one simulation and write edge list, statistics and (optionally)
     the trajectory."""
-    config = SimConfig(s, nodes, seed, record_trajectory=trajectory)
-    grid = log_grid(min(100, nodes), nodes, 20)
-    res = collect_run(config, snapshot_grid=grid,
-                      checkpoint_grid=log_grid(min(10, nodes), nodes, 10))
-    path = _out_dir(out)
-    _write(path / "edges.txt", engine.edge_list_lines(res.tree, config))
-    counts = res.tree.degree_counts()
-    _write(path / "degrees.csv", stats.degrees_csv(counts))
-    _write(path / "ccdf.csv", stats.ccdf_csv(stats.empirical_ccdf(counts)))
-    _write(path / "leaves.csv", stats.leaves_csv(res.collectors.leaf_series))
-    _write(path / "visits.csv", stats.visits_csv(res.collectors))
-    _write(path / "bounces.csv", stats.bounces_csv(res.collectors.bounce_runs))
+    config = SimConfig(s, nodes, seed)
+    res = collect_run(config, log_grid(min(100, nodes), nodes, 20))
+    path = output_root(out)
+    write_lines(path / "edges.txt", engine.edge_list_lines(res.parent, config))
+    write_run_stats(path, res)
     if trajectory:
-        _write(path / "trajectory.csv",
-               engine.trajectory_lines(res.collectors.trajectory))
+        write_lines(path / "trajectory.csv",
+                    engine.trajectory_lines(s, res.positions))
     if s % 2 == 1 and s > 1:
         click.echo(f"note: odd step parameter {s} > 1 is exploratory; no "
                    "verification suite covers it")
@@ -161,35 +148,24 @@ def oracle_bounce_bound(d0, kmax):
 def export(what, fmt, s, nodes, seed, out):
     """Re-run a deterministic simulation and export one artifact."""
     config = SimConfig(s, nodes, seed)
-    path = _out_dir(out)
+    path = output_root(out)
     if what == "tree":
         if fmt == "csv":
             raise click.UsageError("tree export supports edgelist or dot")
-        tree, _ = engine.run(config)
+        parent, _ = engine.run(config)
         if fmt == "edgelist":
-            _write(path / "edges.txt", engine.edge_list_lines(tree, config))
+            write_lines(path / "edges.txt",
+                        engine.edge_list_lines(parent, config))
             click.echo(str(path / "edges.txt"))
         else:
-            _write(path / "tree.dot", engine.dot_lines(tree))
+            write_lines(path / "tree.dot", engine.dot_lines(parent))
             click.echo(str(path / "tree.dot"))
     else:
         if fmt != "csv":
             raise click.UsageError("stats export supports csv only")
-        res = collect_run(config, snapshot_grid=log_grid(min(100, nodes),
-                                                         nodes, 20))
-        counts = res.tree.degree_counts()
-        _write(path / "degrees.csv", stats.degrees_csv(counts))
-        _write(path / "ccdf.csv", stats.ccdf_csv(stats.empirical_ccdf(counts)))
-        _write(path / "leaves.csv", stats.leaves_csv(res.collectors.leaf_series))
-        _write(path / "visits.csv", stats.visits_csv(res.collectors))
-        _write(path / "bounces.csv",
-               stats.bounces_csv(res.collectors.bounce_runs))
+        write_run_stats(path, collect_run(config, log_grid(min(100, nodes),
+                                                           nodes, 20)))
         click.echo(str(path))
-
-
-def _write(path: Path, lines):
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ born at time 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class SimConfig:
     step_parameter: int
     target_nodes: int
     seed: int
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.step_parameter < 1:
@@ -66,26 +64,36 @@ class SimConfig:
         return self.step_parameter * (self.target_nodes - 1)
 
 
+# Draws are 62-bit integers taken in chunks of at most _CHUNK. PCG64's
+# ``integers(0, 2**62)`` consumes one 64-bit output per value, so the
+# sequence is the same however it is chunked.
+_CHUNK = 1 << 15
+_DRAW_BOUND = 1 << 62
+
+
+def bit_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The PCG64 generator of ``(seed, stream_id)``; distinct ``stream_id``
+    values give independent streams via ``SeedSequence`` spawn keys."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 class PrngStream:
-    """Deterministic uniform-integer source.
+    """Deterministic uniform-integer source over ``bit_stream``.
 
-    Backed by PCG64; distinct ``stream_id`` values select independent streams
-    derived from the same seed via ``SeedSequence`` spawn keys, so the same
-    ``(seed, stream_id)`` pair always reproduces the same draw sequence.
-
-    ``randbelow(n)`` maps a buffered 62-bit draw into ``[0, n)`` by modular
-    reduction; the bias is below ``n * 2**-62``, irrelevant next to the Monte
-    Carlo noise floor of any consumer here, and the mapping is exactly
-    reproducible.
+    The same ``(seed, stream_id)`` pair always reproduces the same draw
+    sequence. ``randbelow(n)`` maps a buffered 62-bit draw into ``[0, n)`` by
+    modular reduction; the bias is below ``n * 2**-62``, irrelevant next to
+    the Monte Carlo noise floor of any consumer here, and the mapping is
+    exactly reproducible.
     """
 
-    _CHUNK = 1 << 15
+    _CHUNK = _CHUNK
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed
         self.stream_id = stream_id
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._gen = bit_stream(seed, stream_id)
         self._buf: list[int] = []
         self._pos = 0
 
@@ -93,7 +101,7 @@ class PrngStream:
         pos = self._pos
         buf = self._buf
         if pos == len(buf):
-            buf = self._gen.integers(0, 1 << 62, size=self._CHUNK).tolist()
+            buf = self._gen.integers(0, _DRAW_BOUND, size=self._CHUNK).tolist()
             self._buf = buf
             pos = 0
         self._pos = pos + 1
@@ -173,115 +181,87 @@ class GrowingTree:
         return counts
 
 
-@dataclass
-class WalkerState:
-    position: int = ROOT
-    clock: int = 0
-    parity: int = 0  # (depth(position) + clock) mod 2, tracked incrementally
-    parity_change_count: int = 0
-
-
-@dataclass(slots=True)
-class StepEvent:
-    time: int
-    src: int
-    dst: int
-    via_self_loop: bool
-    attached_vertex: Optional[int]
-
-
-def init(config: SimConfig) -> tuple[GrowingTree, WalkerState, PrngStream]:
-    """Initial state: the root with its self-loop, walker on it, clock zero."""
-    tree = GrowingTree(config.step_parameter)
-    walker = WalkerState()
-    rng = PrngStream(config.seed)
-    return tree, walker, rng
-
-
-def walker_step(config: SimConfig, tree: GrowingTree, walker: WalkerState,
-                rng: PrngStream) -> StepEvent:
-    """Advance the walker one step, attaching a vertex if the clock hits a
-    multiple of the step parameter and the target size has not been reached.
-
-    Neighbor sampling draws an index in ``[0, degree)``: at the root indices
-    0 and 1 are the self-loop, the rest are children in birth order; elsewhere
-    index 0 is the parent edge.
-    """
-    pos = walker.position
-    ch = tree.children[pos]
-    if pos == ROOT:
-        i = rng.randbelow(2 + len(ch))
-        if i < 2:
-            nxt = ROOT
-            via_self_loop = True
-        else:
-            nxt = ch[i - 2]
-            via_self_loop = False
-    else:
-        i = rng.randbelow(1 + len(ch))
-        nxt = tree.parent[pos] if i == 0 else ch[i - 1]
-        via_self_loop = False
-
-    t = walker.clock + 1
-    walker.clock = t
-    walker.position = nxt
-    if via_self_loop:
-        walker.parity ^= 1
-        walker.parity_change_count += 1
-
-    attached = None
-    if t % config.step_parameter == 0 and len(tree.parent) < config.target_nodes:
-        attached = tree.attach(nxt, t)
-    return StepEvent(t, pos, nxt, via_self_loop, attached)
-
-
-Observer = Callable[[StepEvent, GrowingTree, WalkerState], None]
-
-
-def run(config: SimConfig,
-        on_event: Optional[Observer] = None) -> tuple[GrowingTree, WalkerState]:
+def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Execute a full run: ``s * (N - 1)`` steps, attaching vertices 1..N-1.
 
-    Bit-deterministic in ``config``. ``on_event`` (if given) is called after
-    every step with the event and the live tree/walker state.
+    Returns ``(parent, positions)``: ``parent[v]`` is the vertex ``v`` was
+    attached to (``NO_PARENT`` for the root) and ``positions[t - 1]`` is the
+    walker's position after step ``t``. Bit-deterministic in ``config``.
+
+    Each vertex keeps its walk neighbours in draw order, ``[ROOT, ROOT,
+    children...]`` at the root (the self-loop twice) and ``[parent,
+    children...]`` elsewhere, so a step indexes that list with the draw
+    reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
+    to the same stream.
     """
-    tree, walker, rng = init(config)
-    step = walker_step
+    s, total = config.step_parameter, config.total_steps
+    positions = np.empty(total, dtype=np.int32)
+    parent = [NO_PARENT]
+    nb = [[ROOT, ROOT]]
+    gen = bit_stream(config.seed)
+    pos = ROOT
+    until_attach = s
+    done = 0
+    chunk: list[int] = []
     try:
-        if on_event is None:
-            for _ in range(config.total_steps):
-                step(config, tree, walker, rng)
-        else:
-            for _ in range(config.total_steps):
-                on_event(step(config, tree, walker, rng), tree, walker)
+        while done < total:
+            size = min(_CHUNK, total - done)
+            chunk = []
+            record = chunk.append
+            for r in gen.integers(0, _DRAW_BOUND, size=size).tolist():
+                here = nb[pos]
+                pos = here[r % len(here)]
+                record(pos)
+                until_attach -= 1
+                if not until_attach:
+                    until_attach = s
+                    nb[pos].append(len(nb))
+                    nb.append([pos])
+                    parent.append(pos)
+            positions[done:done + size] = chunk
+            done += size
     except MemoryError as exc:
-        raise ResourceExhausted(
-            f"out of memory at clock {walker.clock}",
-            vertices_built=tree.vertex_count, clock=walker.clock) from exc
-    return tree, walker
+        clock = done + len(chunk)
+        raise ResourceExhausted(f"out of memory at clock {clock}",
+                                vertices_built=len(parent),
+                                clock=clock) from exc
+    return np.array(parent, dtype=np.int64), positions
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
-def edge_list_lines(tree: GrowingTree, config: SimConfig) -> list[str]:
+def _edges(parent: np.ndarray):
+    """Edges as (u, v) pairs, the root self-loop first."""
+    yield (ROOT, ROOT)
+    yield from zip(parent[1:].tolist(), range(1, len(parent)))
+
+
+def edge_list_lines(parent: np.ndarray, config: SimConfig) -> list[str]:
     """Edge list, one "u v" per line, with a parameter header comment."""
     lines = [f"# nrrw s={config.step_parameter} n={config.target_nodes} "
              f"seed={config.seed}"]
-    lines.extend(f"{u} {v}" for u, v in tree.iter_edges())
+    lines.extend(f"{u} {v}" for u, v in _edges(parent))
     return lines
 
 
-def dot_lines(tree: GrowingTree) -> list[str]:
+def dot_lines(parent: np.ndarray) -> list[str]:
     lines = ["graph nrrw {"]
-    lines.extend(f"  {u} -- {v};" for u, v in tree.iter_edges())
+    lines.extend(f"  {u} -- {v};" for u, v in _edges(parent))
     lines.append("}")
     return lines
 
 
-def trajectory_lines(trajectory: list[tuple[int, int, bool, Optional[int]]]) -> list[str]:
-    """CSV lines for a recorded trajectory: t,position,via_self_loop,attached."""
+def trajectory_lines(s: int, positions: np.ndarray) -> list[str]:
+    """CSV lines of a run's steps: t,position,via_self_loop,attached.
+
+    A step is a self-loop traversal when it stays at the root (the walker
+    starts there), and vertex ``t / s`` attaches at every multiple of ``s``.
+    """
     lines = ["t,position,via_self_loop,attached"]
-    for t, pos, via, attached in trajectory:
-        lines.append(f"{t},{pos},{int(via)},{'' if attached is None else attached}")
+    prev = ROOT
+    for t, pos in enumerate(positions.tolist(), 1):
+        attached = "" if t % s else t // s
+        lines.append(f"{t},{pos},{int(pos == prev == ROOT)},{attached}")
+        prev = pos
     return lines

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine, oracles, stats
 from .engine import ROOT, SimConfig
-from .stats import RunCollectors, collect_run, log_grid
+from .stats import RunStats, collect_run, log_grid
 
 
 class UsageError(ValueError):
@@ -109,31 +109,28 @@ def run_replica(s: int, nodes: int, seed: int,
                               status=f"failed({exc})",
                               clock=exc.clock,
                               vertex_count=exc.vertices_built)
+    # the (degree, run) tail counter can hold ~10^6 keys at large N; suites
+    # that never read the bounce statistics skip deriving and shipping them
+    bounce = res.bounce if keep_bounce_stats or keep_bounce_runs else None
     elapsed = max(time.perf_counter() - t0, 1e-9)
-    c = res.collectors
     return ReplicaSummary(
         seed=seed,
-        clock=res.walker.clock,
-        vertex_count=res.tree.vertex_count,
-        leaf_count=c.leaf_count,
-        max_depth=c.max_depth,
-        root_visits=c.visits[ROOT],
-        root_entries=c.root_entries,
-        root_last_visit=c.last_visit[ROOT],
-        parity_changes=res.walker.parity_change_count,
+        clock=config.total_steps,
+        vertex_count=len(res.parent),
+        leaf_count=res.leaf_count,
+        max_depth=res.max_depth,
+        root_visits=res.root_visits,
+        root_entries=res.root_entries,
+        root_last_visit=res.root_last_visit,
+        parity_changes=res.parity_changes,
         steps_per_second=config.total_steps / elapsed,
-        degree_counts=res.tree.degree_counts(),
-        leaf_series=c.leaf_series,
-        checkpoints=[{"n": cp.vertex_count, "clock": cp.clock,
-                      "visits": cp.visits,
-                      "parity_changes": cp.parity_change_count}
-                     for cp in c.checkpoints],
-        renewal_gaps=c.renewal_gaps(),
-        # the (degree, run) tail counter can hold ~10^6 keys at large N;
-        # suites that never read it drop it to keep replica batches small
-        bounce_anchors=dict(c.bounce_anchors) if keep_bounce_stats else {},
-        bounce_tails=dict(c.bounce_tails) if keep_bounce_stats else {},
-        bounce_runs=c.bounce_runs if keep_bounce_runs else [],
+        degree_counts=res.degree_counts,
+        leaf_series=res.leaf_series,
+        checkpoints=res.checkpoints,
+        renewal_gaps=res.renewal_gaps,
+        bounce_anchors=bounce.anchors if keep_bounce_stats else {},
+        bounce_tails=bounce.tails if keep_bounce_stats else {},
+        bounce_runs=bounce.runs if keep_bounce_runs else [],
     )
 
 
@@ -193,13 +190,16 @@ class SuiteResult:
 @dataclass
 class VerificationReport:
     suites: list[SuiteResult]
+    failed_replicas: int = 0
 
     @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.suites)
+        return self.failed_replicas == 0 and all(s.passed for s in self.suites)
 
     def lines(self) -> list[str]:
         out = [s.line() for s in self.suites]
+        if self.failed_replicas:
+            out.append(f"[FAIL] {self.failed_replicas} replicas failed")
         out.append("[PASS] all suites" if self.passed else "[FAIL] some suites")
         return out
 
@@ -506,88 +506,64 @@ def suite_invariants(seed: int = 111, **_) -> SuiteResult:
         config = SimConfig(s, n, seed=seed + i)
         errs = check_invariants(config)
         failures.extend(f"s={s} n={n}: {e}" for e in errs)
-        lines_a = engine.edge_list_lines(*_tree_of(config))
-        lines_b = engine.edge_list_lines(*_tree_of(config))
+        lines_a = engine.edge_list_lines(engine.run(config)[0], config)
+        lines_b = engine.edge_list_lines(engine.run(config)[0], config)
         if lines_a != lines_b:
             failures.append(f"s={s} n={n}: replay not byte-identical")
     return SuiteResult("invariants", not failures, time.perf_counter() - t0,
                        {"failures": failures, "cases": cases})
 
 
-def _tree_of(config: SimConfig):
-    tree, _ = engine.run(config)
-    return tree, config
-
-
 def check_invariants(config: SimConfig) -> list[str]:
-    """Run ``config`` with a checking observer; returns violation messages."""
+    """Run ``config`` and check its arrays against the process's exact laws;
+    returns violation messages."""
     errors: list[str] = []
-    state = {"flips": [], "loops": [], "leaf_prev": 0,
-             "attach_parities": [], "prev_parity": 0}
-    coll = RunCollectors(config)
-
-    def observe(event, tree, walker):
-        coll.record(event, tree, walker)
-        # parity bit must match its from-scratch definition
-        expected = (tree.depth[walker.position] + walker.clock) % 2
-        if walker.parity != expected:
-            errors.append(f"t={event.time}: tracked parity {walker.parity} != "
-                          f"recomputed {expected}")
-        if walker.parity != state["prev_parity"]:
-            state["flips"].append(event.time)
-        state["prev_parity"] = walker.parity
-        if event.via_self_loop:
-            state["loops"].append(event.time)
-            if not (event.src == ROOT and event.dst == ROOT):
-                errors.append(f"t={event.time}: self-loop not at root")
-        if event.attached_vertex is not None:
-            v = event.attached_vertex
-            if tree.parent[v] != event.dst:
-                errors.append(f"t={event.time}: attached parent mismatch")
-            if tree.depth[v] != tree.depth[event.dst] + 1:
-                errors.append(f"t={event.time}: attached depth mismatch")
-            state["attach_parities"].append(
-                (len(state["loops"]), tree.depth[v] % 2))
-        if coll.leaf_count < state["leaf_prev"]:
-            errors.append(f"t={event.time}: leaf count decreased")
-        state["leaf_prev"] = coll.leaf_count
-        if config.step_parameter % 2 == 0:
-            if walker.parity != walker.parity_change_count % 2:
-                errors.append(f"t={event.time}: parity law "
-                              "(depth+t != parity changes mod 2)")
-
-    tree, walker = engine.run(config, on_event=observe)
-    coll.finish()
-
-    if state["flips"] != state["loops"]:
+    s, n = config.step_parameter, config.target_nodes
+    res = collect_run(config)
+    parent, positions = res.parent, res.positions
+    total = config.total_steps
+    if len(parent) != n or len(positions) != total:
+        return [f"run has {len(parent)} vertices and {len(positions)} steps"]
+    labels = np.arange(1, n)
+    if np.any((parent[1:] < 0) | (parent[1:] >= labels)):
+        errors.append("parent pointer not older than the vertex")
+        return errors
+    times = np.arange(1, total + 1)
+    if np.any(positions > (times - 1) // s):
+        errors.append("walker visits a vertex born after the step began")
+    prev = np.concatenate(([ROOT], positions[:-1]))
+    stays = prev == positions
+    along_edge = (parent[positions] == prev) | (parent[prev] == positions)
+    if np.any(stays & (positions != ROOT)):
+        errors.append("walker stays put away from the root")
+    if not np.all(stays | along_edge):
+        errors.append("step does not follow an edge")
+    if np.any(parent[1:] != positions[labels * s - 1]):
+        errors.append("attached parent is not the walker's position")
+    # parity of depth + clock flips exactly on self-loop traversals
+    depth = np.array(stats.depths(parent))
+    parity = (depth[positions] + times) % 2
+    flips = np.flatnonzero(np.diff(np.concatenate(([0], parity))))
+    if not np.array_equal(flips, np.flatnonzero(stays)):
         errors.append("parity flips do not coincide with self-loop traversals")
-    if config.step_parameter % 2 == 0:
+    if res.parity_changes != int(stays.sum()):
+        errors.append("parity change count differs from self-loop count")
+    if s % 2 == 0 and n >= 2:
         # between two consecutive parity changes all attached depths share
         # one parity
-        epochs: dict[int, set[int]] = {}
-        for n_loops, par in state["attach_parities"]:
-            epochs.setdefault(n_loops, set()).add(par)
-        mixed = [e for e, ps in epochs.items() if len(ps) > 1]
-        if mixed:
-            errors.append(f"attachment parity mixed within epochs {mixed}")
-    total_degree = sum(tree.degree_of(v) for v in range(tree.vertex_count))
-    if total_degree != 2 * (tree.vertex_count - 1) + 2:
+        epoch = np.cumsum(stays)[labels * s - 1]
+        mixed = (np.diff(epoch) == 0) & (np.diff(depth[1:] % 2) != 0)
+        if np.any(mixed):
+            errors.append(f"attachment parity mixed within epochs "
+                          f"{sorted(set(epoch[1:][mixed].tolist()))}")
+    degrees = stats.walk_degrees(parent)
+    if int(degrees.sum()) != 2 * (n - 1) + 2:
         errors.append("degree sum identity violated")
-    if sum(coll.visits) != walker.clock:
+    if int(res.visits.sum()) != total:
         errors.append("visit ledger does not sum to the clock")
-    n = tree.vertex_count
-    non_leaf_non_root = sum(
-        1 for v in range(1, n) if tree.degree_of(v) >= 2)
-    if non_leaf_non_root + 1 != n - coll.leaf_count:
+    if int(np.sum(degrees[1:] >= 2)) + 1 != n - res.leaf_count:
         errors.append("non-leaf count identity violated")
-    for v in range(1, n):
-        if not 0 <= tree.parent[v] < v:
-            errors.append(f"parent pointer of {v} not older than the vertex")
-        if tree.depth[v] != tree.depth[tree.parent[v]] + 1:
-            errors.append(f"depth of {v} inconsistent with parent")
-        if tree.birth_time[v] != v * config.step_parameter:
-            errors.append(f"birth time of {v} wrong")
-    if n >= 2 and tree.degree_of(ROOT) < 3:
+    if n >= 2 and degrees[ROOT] < 3:
         errors.append("root degree below 3 after first attachment")
     return errors
 
@@ -637,16 +613,30 @@ def verify(suite_name: str, **options) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Experiment driver
 
-def output_root(spec_dir: str) -> Path:
-    return Path(os.environ.get("NRRW_OUT", spec_dir))
+def output_root(default: str) -> Path:
+    """The artifact directory, created if missing: ``NRRW_OUT`` if set,
+    else ``default``."""
+    path = Path(os.environ.get("NRRW_OUT", default))
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_run_stats(path: Path, res: RunStats):
+    """Write one run's degrees, ccdf, leaves, visits and bounces CSVs."""
+    counts = res.degree_counts
+    write_lines(path / "degrees.csv", stats.degrees_csv(counts))
+    write_lines(path / "ccdf.csv", stats.ccdf_csv(stats.empirical_ccdf(counts)))
+    write_lines(path / "leaves.csv", stats.leaves_csv(res.leaf_series))
+    write_lines(path / "visits.csv", stats.visits_csv(res))
+    write_lines(path / "bounces.csv", stats.bounces_csv(res.bounce.runs))
 
 
 def run_experiment(spec: ExperimentSpec) -> VerificationReport:
     """Execute every cell of the experiment, write artifacts, then run the
     requested verification suites."""
     root = output_root(spec.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
     cell_reports = []
+    failed_replicas = 0
     for ci, (s, nodes) in enumerate(spec.cells):
         cell_dir = root / f"cell_s{s}_n{nodes}"
         cell_dir.mkdir(parents=True, exist_ok=True)
@@ -655,17 +645,19 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
                              snapshot_points=spec.snapshot_points,
                              jobs=spec.jobs, keep_bounce_runs=True)
         failed = [r for r in summaries if r.status != "ok"]
+        failed_replicas += len(failed)
         ok = [r for r in summaries if r.status == "ok"]
         if ok:
             degrees = merge_counters([r.degree_counts for r in ok])
-            _write(cell_dir / "degrees.csv", stats.degrees_csv(dict(degrees)))
-            _write(cell_dir / "ccdf.csv",
-                   stats.ccdf_csv(stats.empirical_ccdf(dict(degrees))))
+            write_lines(cell_dir / "degrees.csv",
+                        stats.degrees_csv(dict(degrees)))
+            write_lines(cell_dir / "ccdf.csv",
+                        stats.ccdf_csv(stats.empirical_ccdf(dict(degrees))))
             series = mean_leaf_series(ok)
-            _write(cell_dir / "leaves.csv",
-                   ["n,leaves"] + [f"{n},{v:.6f}" for n, v in series])
+            write_lines(cell_dir / "leaves.csv",
+                        ["n,leaves"] + [f"{n},{v:.6f}" for n, v in series])
             runs = [rl for r in ok for rl in r.bounce_runs]
-            _write(cell_dir / "bounces.csv", stats.bounces_csv(runs))
+            write_lines(cell_dir / "bounces.csv", stats.bounces_csv(runs))
         with open(cell_dir / "replicas.jsonl", "w") as f:
             for r in summaries:
                 f.write(json.dumps({
@@ -679,15 +671,15 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
         cell_reports.append({"cell": [s, nodes], "replicas": spec.replicas,
                              "failed": len(failed)})
     suite_results = [SUITES[name](jobs=spec.jobs) for name in spec.checks]
-    report = VerificationReport(suite_results)
+    report = VerificationReport(suite_results, failed_replicas)
     payload = {"cells": cell_reports,
                "suites": [{"name": r.name, "passed": r.passed,
                            "runtime_s": round(r.runtime_s, 2),
                            "details": _jsonable(r.details)}
                           for r in suite_results],
                "passed": report.passed}
-    _write(root / "report.json", [json.dumps(payload, indent=2)])
-    _write(root / "report.txt", report.lines())
+    write_lines(root / "report.json", [json.dumps(payload, indent=2)])
+    write_lines(root / "report.txt", report.lines())
     return report
 
 
@@ -703,7 +695,7 @@ def _jsonable(obj):
     return obj
 
 
-def _write(path: Path, lines: Sequence[str]):
+def write_lines(path: Path, lines: Sequence[str]):
     try:
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")

@@ -1,20 +1,17 @@
-"""Streaming collectors over a run and the statistical checks that confront
-empirical data with the analytic oracles."""
+"""Per-run statistics, derived as array passes over a run's parent and
+position arrays, and the statistical checks that confront empirical data with
+the analytic oracles."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import ROOT, GrowingTree, SimConfig, StepEvent, WalkerState, run
-
-
-class ProtocolError(RuntimeError):
-    """Events delivered out of clock order."""
+from .engine import ROOT, SimConfig, run
 
 
 class EmptyHistogramError(ValueError):
@@ -29,191 +26,184 @@ class FitError(ValueError):
         self.usable = list(usable)
 
 
+# Checkpoints record the visit counts of the first PROBE_VERTICES vertices.
+PROBE_VERTICES = 10
+
+
 @dataclass
-class Checkpoint:
-    """State snapshot taken when the tree reaches a given vertex count."""
+class Bounce:
+    """Consecutive two-step returns, anchored at even times t0 >= s.
 
-    vertex_count: int
-    clock: int
-    visits: list[int]  # J_i for the first probe vertices
-    parity_change_count: int
-    root_last_visit: int
-
-
-class RunCollectors:
-    """Single-writer streaming statistics for one run.
-
-    Tracks per-vertex visit counts / first-visit / first-attachment times,
-    the leaf count series on a vertex-count grid, the depth profile, the
-    bounce-run log (consecutive two-step returns anchored at even times) and
-    an optional full trajectory.
+    ``anchors[d]`` counts anchors whose vertex has degree ``d``;
+    ``tails[(d, k)]`` counts anchors of degree ``d`` from which exactly
+    ``k`` consecutive returns follow before their maximal run ends; ``runs`` lists each maximal run
+    as (degree at its start, number of returns), in time order.
     """
 
-    def __init__(self, config: SimConfig,
-                 snapshot_grid: Optional[Sequence[int]] = None,
-                 checkpoint_grid: Optional[Sequence[int]] = None,
-                 probe_vertices: int = 10):
-        self.config = config
-        self.visits = [0]
-        self.first_visit: list[Optional[int]] = [0]
-        self.last_visit = [0]
-        self.first_attach: list[Optional[int]] = [None]
-        self.root_entries = 0  # arrivals at the root from elsewhere
-        self.leaf_count = 0
-        self.leaf_series: list[tuple[int, int]] = []
-        self.renewal_marks: list[int] = []  # times of additions not raising L
-        self.depth_hist = [1]
-        self.max_depth = 0
-        self.checkpoints: list[Checkpoint] = []
-        self.probe_vertices = probe_vertices
-        self.trajectory: list[tuple[int, int, bool, Optional[int]]] = []
-        self.attach_log: list[tuple[int, int, int]] = []  # (t, parent, parity)
-
-        self._grid = sorted(set(snapshot_grid or []))
-        self._grid_idx = 0
-        self._cp_grid = sorted(set(checkpoint_grid or []))
-        self._cp_idx = 0
-        self._expected_t = 1
-
-        # bounce tracking: anchors live on even times only
-        self._even_prev_pos = -1
-        self._even_prev_deg = 0
-        self._run_degs: list[int] = []
-        self.bounce_anchors: Counter[int] = Counter()  # degree -> anchor count
-        self.bounce_tails: Counter[tuple[int, int]] = Counter()  # (deg, run) -> n
-        self.bounce_runs: list[tuple[int, int]] = []  # maximal (start deg, len)
-
-        self._record_snapshots_up_to(1)
-        self._record_checkpoints_up_to(1, 0, 0)
-
-    # -- internal helpers -------------------------------------------------
-
-    def _record_snapshots_up_to(self, n: int):
-        while self._grid_idx < len(self._grid) and self._grid[self._grid_idx] <= n:
-            self.leaf_series.append((self._grid[self._grid_idx], self.leaf_count))
-            self._grid_idx += 1
-
-    def _record_checkpoints_up_to(self, n: int, clock: int, parity_changes: int):
-        while (self._cp_idx < len(self._cp_grid)
-               and self._cp_grid[self._cp_idx] <= n):
-            self.checkpoints.append(Checkpoint(
-                vertex_count=self._cp_grid[self._cp_idx],
-                clock=clock,
-                visits=list(self.visits[:self.probe_vertices]),
-                parity_change_count=parity_changes,
-                root_last_visit=self.last_visit[ROOT],
-            ))
-            self._cp_idx += 1
-
-    def _close_bounce_run(self):
-        degs = self._run_degs
-        m = len(degs) - 1  # number of returns in the maximal run
-        if m >= 1:
-            self.bounce_runs.append((degs[0], m))
-            for j in range(m):
-                self.bounce_tails[(degs[j], m - j)] += 1
-        self._run_degs = []
-
-    # -- event sink -------------------------------------------------------
-
-    def record(self, event: StepEvent, tree: GrowingTree, walker: WalkerState):
-        t = event.time
-        if t != self._expected_t:
-            raise ProtocolError(f"expected event at t={self._expected_t}, got t={t}")
-        self._expected_t = t + 1
-        pos = event.dst
-
-        self.visits[pos] += 1
-        if self.first_visit[pos] is None:
-            self.first_visit[pos] = t
-        self.last_visit[pos] = t
-        if pos == ROOT and event.src != ROOT:
-            self.root_entries += 1
-
-        attached = event.attached_vertex
-        if attached is not None:
-            self.visits.append(0)
-            self.first_visit.append(None)
-            self.last_visit.append(0)
-            self.first_attach.append(None)
-            if self.first_attach[pos] is None:
-                self.first_attach[pos] = t
-            # leaf bookkeeping: the newcomer is a leaf; its parent stops
-            # being one unless it was the root or already internal
-            was_leaf = pos != ROOT and len(tree.children[pos]) == 1
-            if was_leaf:
-                self.renewal_marks.append(t)
-            else:
-                self.leaf_count += 1
-            d = tree.depth[attached]
-            if d > self.max_depth:
-                self.max_depth = d
-                self.depth_hist.append(0)
-            self.depth_hist[d] += 1
-            self.attach_log.append((t, pos, walker.parity))
-            n = tree.vertex_count
-            self._record_snapshots_up_to(n)
-            self._record_checkpoints_up_to(n, t, walker.parity_change_count)
-
-        # anchors live on even times t0 >= s, matching the bounce lemma's
-        # premise (the forced self-loop warm-up before the first attachment
-        # would otherwise contribute degenerate certain returns)
-        if t % 2 == 0 and t >= self.config.step_parameter:
-            if pos == self._even_prev_pos:
-                if not self._run_degs:
-                    self._run_degs.append(self._even_prev_deg)
-                self._run_degs.append(tree.degree_of(pos))
-            else:
-                self._close_bounce_run()
-            self._even_prev_pos = pos
-            self._even_prev_deg = tree.degree_of(pos)
-            self.bounce_anchors[self._even_prev_deg] += 1
-
-        if self.config.record_trajectory:
-            self.trajectory.append((t, pos, event.via_self_loop, attached))
-
-    def finish(self):
-        self._close_bounce_run()
-
-    # -- derived views ----------------------------------------------------
-
-    def leaf_fraction(self) -> float:
-        n = len(self.visits)
-        return self.leaf_count / n if n else 0.0
-
-    def renewal_gaps(self) -> list[int]:
-        """Walker-step gaps between consecutive leaf-neutral additions,
-        excluding the open interval after the last mark."""
-        marks = self.renewal_marks
-        return [b - a for a, b in zip(marks, marks[1:])]
-
-    def bounce_tail_frequency(self, d: int, k: int) -> float:
-        """Empirical P(>= k consecutive two-step returns | anchor degree d)."""
-        n = self.bounce_anchors[d]
-        if n == 0:
-            raise ValueError(f"no anchors observed at degree {d}")
-        hits = sum(c for (deg, run), c in self.bounce_tails.items()
-                   if deg == d and run >= k)
-        return hits / n
+    anchors: dict[int, int]
+    tails: dict[tuple[int, int], int]
+    runs: list[tuple[int, int]]
 
 
 @dataclass
-class RunResult:
+class RunStats:
+    """One run's arrays and the statistics derived from them."""
+
     config: SimConfig
-    tree: GrowingTree
-    walker: WalkerState
-    collectors: RunCollectors
+    parent: np.ndarray
+    positions: np.ndarray
+    visits: np.ndarray
+    leaf_count: int
+    max_depth: int
+    root_visits: int
+    root_entries: int
+    root_last_visit: int
+    parity_changes: int
+    degree_counts: dict[int, int]
+    leaf_series: list[tuple[int, int]]
+    checkpoints: list[dict]
+    renewal_gaps: list[int]
+
+    @cached_property
+    def bounce(self) -> Bounce:
+        return bounce_statistics(self.config.step_parameter, self.parent,
+                                 self.positions)
 
 
 def collect_run(config: SimConfig,
                 snapshot_grid: Optional[Sequence[int]] = None,
-                checkpoint_grid: Optional[Sequence[int]] = None,
-                probe_vertices: int = 10) -> RunResult:
-    """Run a simulation with the full collector set attached."""
-    coll = RunCollectors(config, snapshot_grid, checkpoint_grid, probe_vertices)
-    tree, walker = run(config, on_event=coll.record)
-    coll.finish()
-    return RunResult(config, tree, walker, coll)
+                checkpoint_grid: Optional[Sequence[int]] = None) -> RunStats:
+    """Run a simulation and derive its statistics.
+
+    ``snapshot_grid`` and ``checkpoint_grid`` are vertex counts at which the
+    leaf count and the checkpoint record are taken; points above the target
+    size are skipped. Bounce statistics are derived on first access.
+    """
+    parent, positions = run(config)
+    s, n = config.step_parameter, config.target_nodes
+    at_root = positions == ROOT
+    loops = at_root & np.concatenate(([True], at_root[:-1]))
+    root_times = np.flatnonzero(at_root)
+    neutral = renewals(parent)
+
+    def leaves(m: int) -> int:  # among vertices 0 .. m - 1: newcomers less
+        return m - 1 - int(np.searchsorted(neutral, m - 1, side="right"))
+
+    return RunStats(
+        config=config, parent=parent, positions=positions,
+        visits=np.bincount(positions, minlength=n),
+        leaf_count=leaves(n),
+        max_depth=max(depths(parent)),
+        root_visits=len(root_times),
+        root_entries=len(root_times) - int(loops.sum()),
+        root_last_visit=int(root_times[-1]) + 1 if len(root_times) else 0,
+        parity_changes=int(loops.sum()),
+        degree_counts=degree_counts(parent),
+        leaf_series=[(g, leaves(max(g, 1)))
+                     for g in sorted(set(snapshot_grid or [])) if g <= n],
+        checkpoints=checkpoints(s, positions, loops, checkpoint_grid or [], n),
+        renewal_gaps=(s * np.diff(neutral)).tolist(),
+    )
+
+
+def depths(parent: np.ndarray) -> list[int]:
+    """Depth of every vertex; parents are older than their children."""
+    par = parent.tolist()
+    depth = [0] * len(par)
+    for v in range(1, len(par)):
+        depth[v] = depth[par[v]] + 1
+    return depth
+
+
+def walk_degrees(parent: np.ndarray) -> np.ndarray:
+    """Final walk degree of every vertex; the root's self-loop counts 2."""
+    deg = np.bincount(parent[1:], minlength=len(parent)) + 1
+    deg[ROOT] += 1
+    return deg
+
+
+def degree_counts(parent: np.ndarray) -> dict[int, int]:
+    """Histogram {degree: vertex count} of final walk degrees."""
+    hist = np.bincount(walk_degrees(parent))
+    return {d: c for d, c in enumerate(hist.tolist()) if c}
+
+
+def first_children(parent: np.ndarray) -> np.ndarray:
+    """Label of each vertex's first child; ``len(parent)`` if it has none."""
+    first = np.full(len(parent), len(parent), dtype=np.int64)
+    owners, index = np.unique(parent[1:], return_index=True)
+    first[owners] = index + 1
+    return first
+
+
+def renewals(parent: np.ndarray) -> np.ndarray:
+    """Labels of the leaf-neutral additions, in birth order.
+
+    Each newcomer is a leaf. It leaves the leaf count unchanged when its
+    parent is a non-root vertex that was a leaf until then, i.e. when the
+    newcomer is that parent's first child; otherwise the count grows by one.
+    """
+    labels = np.arange(1, len(parent))
+    par = parent[1:]
+    return labels[(par != ROOT) & (first_children(parent)[par] == labels)]
+
+
+def checkpoints(s: int, positions: np.ndarray, loops: np.ndarray,
+                grid: Sequence[int], n: int) -> list[dict]:
+    """Clock, first probe vertices' visits and self-loop count at the moment
+    the tree reaches each grid size (vertex ``g - 1`` attaches at s*(g-1))."""
+    probed = np.flatnonzero(positions < PROBE_VERTICES)
+    probe_pos = positions[probed]
+    loop_times = np.flatnonzero(loops)
+    out = []
+    for g in sorted(set(grid)):
+        if g > n:
+            break
+        clock = s * (max(g, 1) - 1)
+        seen = probe_pos[:np.searchsorted(probed, clock)]
+        visits = np.bincount(seen, minlength=PROBE_VERTICES)
+        out.append({"n": g, "clock": clock,
+                    "visits": visits[:min(max(g, 1), PROBE_VERTICES)].tolist(),
+                    "parity_changes": int(np.searchsorted(loop_times, clock))})
+    return out
+
+
+def bounce_statistics(s: int, parent: np.ndarray,
+                      positions: np.ndarray) -> Bounce:
+    """Bounce runs from the walker's positions at even times t0 >= s.
+
+    The degree of a vertex at time t counts the children born by then:
+    child ``j`` attaches at time ``j * s``. The warm-up before the first
+    attachment is left out, matching the bounce lemma's premise (the forced
+    self-loops there would contribute degenerate certain returns).
+    """
+    n = len(parent)
+    times = np.arange(s + s % 2, len(positions) + 1, 2)
+    where = positions[times - 1].astype(np.int64)
+    by_parent = np.argsort(parent[1:], kind="stable")
+    child_keys = parent[1:][by_parent] * n + by_parent + 1
+    born = (np.searchsorted(child_keys, where * n + times // s, side="right")
+            - np.searchsorted(child_keys, where * n))
+    deg = born + 1 + (where == ROOT)
+    anchors = np.bincount(deg)
+
+    # same[k]: the walker is back at anchor k - 1's vertex at anchor k
+    same = np.zeros(len(where), dtype=np.int8)
+    same[1:] = where[1:] == where[:-1]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], same, [0]))))
+    starts, ends = edges[0::2], edges[1::2]  # maximal runs same[starts:ends]
+    lengths = ends - starts
+    returns = np.flatnonzero(same)
+    remaining = np.repeat(ends, lengths) - returns  # returns left in its run
+    width = int(lengths.max(initial=0)) + 1
+    tail_keys, tail_counts = np.unique(deg[returns - 1] * width + remaining,
+                                       return_counts=True)
+    return Bounce(
+        anchors={d: c for d, c in enumerate(anchors.tolist()) if c},
+        tails={divmod(k, width): c for k, c in zip(tail_keys.tolist(),
+                                                   tail_counts.tolist())},
+        runs=list(zip(deg[starts - 1].tolist(), lengths.tolist())),
+    )
 
 
 def log_grid(lo: int, hi: int, points: int) -> list[int]:
@@ -366,12 +356,22 @@ def leaves_csv(series: Sequence[tuple[int, int]]) -> list[str]:
     return lines
 
 
-def visits_csv(coll: RunCollectors) -> list[str]:
+def visits_csv(res: RunStats) -> list[str]:
+    """Per vertex: visit count, first visit time (the root is there at
+    t=0) and first attachment time; blank when it never happened."""
+    n = len(res.parent)
+    first_visit = [None] * n
+    seen, index = np.unique(res.positions, return_index=True)
+    for v, i in zip(seen.tolist(), index.tolist()):
+        first_visit[v] = i + 1
+    first_visit[ROOT] = 0
+    first_child = first_children(res.parent).tolist()
+    s = res.config.step_parameter
     lines = ["vertex,count,first_visit,first_attach"]
-    for v, c in enumerate(coll.visits):
-        fv = coll.first_visit[v]
-        fa = coll.first_attach[v]
-        lines.append(f"{v},{c},{'' if fv is None else fv},{'' if fa is None else fa}")
+    for v, c in enumerate(res.visits.tolist()):
+        fv = first_visit[v]
+        fa = first_child[v] * s if first_child[v] < n else ""
+        lines.append(f"{v},{c},{'' if fv is None else fv},{fa}")
     return lines
 
 

@@ -1,18 +1,34 @@
 """Experiment driver, verification plumbing and the command line interface."""
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from nrrw import cli, harness
+from nrrw import cli, engine, harness
 from nrrw.harness import (
     ExperimentSpec, ReplicaSummary, SuiteResult, UsageError,
     VerificationReport, check_invariants, mean_leaf_series, merge_counters,
     replica_seed, run_cell, run_replica, verify,
 )
 from nrrw.engine import SimConfig
+from nrrw.stats import log_grid
+
+
+def summary_digest(summary: ReplicaSummary) -> str:
+    """SHA-256 over every summary field but the timing, dicts in key order."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(summary):
+        if f.name == "steps_per_second":
+            continue
+        value = getattr(summary, f.name)
+        if isinstance(value, dict):
+            value = sorted(value.items())
+        h.update(json.dumps([f.name, value]).encode())
+    return h.hexdigest()
 
 
 class TestSeedDerivation:
@@ -45,6 +61,15 @@ class TestReplicaRuns:
         b = run_cell(2, 100, replicas=3, base_seed=7)
         assert [r.seed for r in a] == [r.seed for r in b]
         assert [r.leaf_count for r in a] == [r.leaf_count for r in b]
+
+    def test_summary_pinned(self):
+        # pinned when the statistics were streamed per step; any change to
+        # the random stream or to a statistic's definition changes it
+        summary = run_replica(2, 2000, 7, log_grid(100, 2000, 20),
+                              log_grid(10, 2000, 10), keep_bounce_runs=True)
+        assert summary.bounce_runs and summary.bounce_tails
+        assert summary_digest(summary) == (
+            "6dc481e7b37f6ff4b4296b6a2f1503df6f2ea2235ac0f312d6c5f818fb99d28e")
 
     def test_merge_counters(self):
         merged = merge_counters([{1: 2, 3: 1}, {1: 1}])
@@ -112,6 +137,33 @@ class TestExperimentSpec:
         lines = (cell / "replicas.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["status"] == "ok"
+
+    def test_failed_replica_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NRRW_OUT", raising=False)
+
+        class Exhausted:
+            def integers(self, *args, **kwargs):
+                raise MemoryError
+
+        monkeypatch.setattr(engine, "bit_stream", lambda seed: Exhausted())
+        spec = ExperimentSpec(cells=[(2, 60)], replicas=2, base_seed=1,
+                              output_dir=str(tmp_path / "out"))
+        report = harness.run_experiment(spec)
+        assert not report.passed
+        assert report.lines()[-2:] == ["[FAIL] 2 replicas failed",
+                                       "[FAIL] some suites"]
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert payload["cells"][0]["failed"] == 2
+        assert not payload["passed"]
+        line = (tmp_path / "out" / "cell_s2_n60" / "replicas.jsonl").read_text()
+        assert json.loads(line.splitlines()[0])["status"].startswith("failed(")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"cells": [[2, 60]], "replicas": 1,
+                                    "output_dir": str(tmp_path / "cli")}))
+        result = CliRunner().invoke(cli.main, ["experiment", "--config",
+                                               str(path), "--jobs", "1"])
+        assert result.exit_code == 1
+        assert "[FAIL] 1 replicas failed" in result.output
 
 
 class TestCli:

@@ -1,101 +1,209 @@
-"""Streaming collectors, empirical distribution machinery and serialization."""
+"""Per-run statistics against a reference stepper, empirical distribution
+machinery and serialization."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from nrrw.engine import ROOT, SimConfig, init, walker_step
-from nrrw.stats import (
-    DominanceReport, EmptyHistogramError, FitError, ProtocolError,
-    RunCollectors, bounces_csv, ccdf_csv, ccdf_to_counts, collect_run,
-    degrees_csv, dominance_check, empirical_ccdf, leaves_csv, log_grid,
-    tail_exponent_fit, visits_csv,
+from nrrw.engine import (
+    ROOT, GrowingTree, PrngStream, SimConfig, run, trajectory_lines,
 )
+from nrrw.harness import run_replica
+from nrrw.stats import (
+    DominanceReport, EmptyHistogramError, FitError, bounces_csv, ccdf_csv,
+    ccdf_to_counts, collect_run, degrees_csv, depths, dominance_check,
+    empirical_ccdf, leaves_csv, log_grid, tail_exponent_fit, visits_csv,
+)
+
+
+def reference_run(s, n, seed):
+    """The step rule one step at a time on its own PrngStream: at the root
+    draws 0 and 1 take the self-loop and the rest pick a child in birth
+    order; elsewhere draw 0 is the parent edge. Returns the tree and the
+    position after every step."""
+    tree, rng, pos, steps = GrowingTree(s), PrngStream(seed), ROOT, []
+    for t in range(1, s * (n - 1) + 1):
+        ch = tree.children[pos]
+        if pos == ROOT:
+            i = rng.randbelow(2 + len(ch))
+            pos = ROOT if i < 2 else ch[i - 2]
+        else:
+            i = rng.randbelow(1 + len(ch))
+            pos = tree.parent[pos] if i == 0 else ch[i - 1]
+        steps.append(pos)
+        if t % s == 0 and tree.vertex_count < n:
+            tree.attach(pos, t)
+    return tree, steps
+
+
+def reference_summary(s, n, tree, steps, grid, cp_grid):
+    """Every ReplicaSummary statistic, streamed over the steps in time
+    order, plus the visit ledger."""
+    visits, kids = [0] * n, [0] * n
+    out = {"root_entries": 0, "root_last_visit": 0, "parity_changes": 0,
+           "leaf_series": [], "checkpoints": []}
+    leaves, marks, prev = 0, [], ROOT
+    anchors, tails, runs = Counter(), Counter(), []
+    run_degs, even_pos, even_deg = [], None, 0
+
+    def reached(m, t):  # the tree has just reached m vertices
+        if m in grid:
+            out["leaf_series"].append((m, leaves))
+        if m in cp_grid:
+            out["checkpoints"].append({
+                "n": m, "clock": t, "visits": visits[:min(m, 10)],
+                "parity_changes": out["parity_changes"]})
+
+    def close_run(degs):
+        if len(degs) >= 2:
+            runs.append((degs[0], len(degs) - 1))
+            for j in range(len(degs) - 1):
+                tails[(degs[j], len(degs) - 1 - j)] += 1
+
+    reached(1, 0)
+    for t, pos in enumerate(steps, 1):
+        visits[pos] += 1
+        if pos == ROOT:
+            out["root_last_visit"] = t
+            key = "parity_changes" if prev == ROOT else "root_entries"
+            out[key] += 1
+        if t % s == 0:  # vertex t // s attaches at pos
+            if pos != ROOT and kids[pos] == 0:
+                marks.append(t)
+            else:
+                leaves += 1
+            kids[pos] += 1
+            reached(t // s + 1, t)
+        if t % 2 == 0 and t >= s:
+            d = kids[pos] + (2 if pos == ROOT else 1)
+            anchors[d] += 1
+            if pos == even_pos:
+                run_degs = (run_degs or [even_deg]) + [d]
+            else:
+                close_run(run_degs)
+                run_degs = []
+            even_pos, even_deg = pos, d
+        prev = pos
+    close_run(run_degs)
+    out.update(clock=len(steps), vertex_count=tree.vertex_count,
+               leaf_count=leaves, max_depth=max(tree.depth),
+               root_visits=visits[ROOT], degree_counts=tree.degree_counts(),
+               renewal_gaps=[b - a for a, b in zip(marks, marks[1:])],
+               bounce_anchors=dict(anchors), bounce_tails=dict(tails),
+               bounce_runs=runs)
+    return out, visits
+
+
+class TestReferenceStepper:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_summary_matches_reference(self, s, n):
+        grid, cp_grid = log_grid(min(100, n), n, 20), log_grid(min(10, n), n, 10)
+        for seed in (3, 17, 2 ** 63 + 5):
+            tree, steps = reference_run(s, n, seed)
+            want, ledger = reference_summary(s, n, tree, steps, grid, cp_grid)
+            got = run_replica(s, n, seed, grid, cp_grid, keep_bounce_runs=True)
+            assert got.status == "ok"
+            for name, value in want.items():
+                assert getattr(got, name) == value, name
+            res = collect_run(SimConfig(s, n, seed))
+            assert res.visits.tolist() == ledger
+            assert res.parent.tolist() == tree.parent
+            assert res.positions.tolist() == steps
+
+    def test_stream_spans_draw_chunks(self):
+        # 39,999 steps cross the 32,768-draw chunk boundary
+        tree, steps = reference_run(1, 40_000, 5)
+        parent, positions = run(SimConfig(1, 40_000, 5))
+        assert parent.tolist() == tree.parent
+        assert positions.tolist() == steps
 
 
 class TestCollectors:
     def test_minimal_run(self):
         # s=2, N=2: two forced self-loop steps, one attachment to the root
         res = collect_run(SimConfig(2, 2, seed=0))
-        c = res.collectors
-        assert c.visits == [2, 0]
-        assert c.last_visit[ROOT] == 2
-        assert c.first_attach[ROOT] == 2
-        assert c.leaf_count == 1
-        assert c.leaf_fraction() == 0.5
-        assert c.renewal_marks == []
-        assert c.root_entries == 0
-        assert res.walker.parity_change_count == 2
+        assert res.visits.tolist() == [2, 0]
+        assert res.root_last_visit == 2
+        assert visits_csv(res)[1].endswith(",2")  # first attachment at t=2
+        assert res.leaf_count == 1
+        assert res.leaf_count / len(res.parent) == 0.5
+        assert res.renewal_gaps == []
+        assert res.root_entries == 0
+        assert res.parity_changes == 2
 
     def test_visit_ledger_sums_to_clock(self):
         for s in (1, 2, 3):
-            res = collect_run(SimConfig(s, 300, seed=8))
-            assert sum(res.collectors.visits) == res.walker.clock
+            config = SimConfig(s, 300, seed=8)
+            res = collect_run(config)
+            assert sum(res.visits) == config.total_steps
 
     def test_leaf_count_plus_internal_matches(self):
         res = collect_run(SimConfig(2, 500, seed=9))
-        tree = res.tree
-        leaves = sum(1 for v in range(tree.vertex_count) if tree.is_leaf(v))
-        assert res.collectors.leaf_count == leaves
+        parents = set(res.parent[1:].tolist())
+        leaves = sum(1 for v in range(1, len(res.parent)) if v not in parents)
+        assert res.leaf_count == leaves
 
     def test_depth_histogram(self):
         res = collect_run(SimConfig(1, 400, seed=10))
-        c = res.collectors
-        assert sum(c.depth_hist) == res.tree.vertex_count
-        assert len(c.depth_hist) == c.max_depth + 1
-        assert c.max_depth == max(res.tree.depth)
+        depth = depths(res.parent)
+        hist = np.bincount(depth)
+        assert hist.sum() == len(res.parent)
+        assert len(hist) == res.max_depth + 1
+        assert res.max_depth == max(depth)
 
     def test_snapshot_grid(self):
         grid = [10, 50, 100]
         res = collect_run(SimConfig(2, 100, seed=11), snapshot_grid=grid)
-        series = res.collectors.leaf_series
+        series = res.leaf_series
         assert [n for n, _ in series] == grid
-        assert series[-1][1] == res.collectors.leaf_count
+        assert series[-1][1] == res.leaf_count
 
     def test_checkpoints_in_order(self):
         grid = [5, 20, 80]
         res = collect_run(SimConfig(2, 80, seed=12), checkpoint_grid=grid)
-        cps = res.collectors.checkpoints
-        assert [cp.vertex_count for cp in cps] == grid
-        clocks = [cp.clock for cp in cps]
+        cps = res.checkpoints
+        assert [cp["n"] for cp in cps] == grid
+        clocks = [cp["clock"] for cp in cps]
         assert clocks == sorted(clocks)
-        parities = [cp.parity_change_count for cp in cps]
+        parities = [cp["parity_changes"] for cp in cps]
         assert parities == sorted(parities)
 
     def test_renewal_gaps_are_even(self):
         # at s=2 leaf-neutral additions happen on the even clock only
         res = collect_run(SimConfig(2, 2000, seed=13))
-        gaps = res.collectors.renewal_gaps()
+        gaps = res.renewal_gaps
         assert gaps
         assert all(g >= 2 and g % 2 == 0 for g in gaps)
 
     def test_bounce_log_consistency(self):
-        res = collect_run(SimConfig(2, 2000, seed=14))
-        c = res.collectors
-        assert c.bounce_runs
+        b = collect_run(SimConfig(2, 2000, seed=14)).bounce
+        assert b.runs
         # every maximal run of length m contributes m tail entries
-        assert sum(m for _, m in c.bounce_runs) == sum(c.bounce_tails.values())
+        assert sum(m for _, m in b.runs) == sum(b.tails.values())
         # anchors at degree d bound the tails that start there
-        for (d, _), n in c.bounce_tails.items():
-            assert c.bounce_anchors[d] >= n
+        for (d, _), n in b.tails.items():
+            assert b.anchors[d] >= n
 
     def test_bounce_tail_frequency(self):
-        res = collect_run(SimConfig(2, 2000, seed=14))
-        c = res.collectors
-        d = max(c.bounce_anchors, key=c.bounce_anchors.get)
-        f1 = c.bounce_tail_frequency(d, 1)
-        f2 = c.bounce_tail_frequency(d, 2)
-        assert 0.0 <= f2 <= f1 <= 1.0
-        with pytest.raises(ValueError):
-            c.bounce_tail_frequency(10 ** 9, 1)
+        b = collect_run(SimConfig(2, 2000, seed=14)).bounce
+        d = max(b.anchors, key=b.anchors.get)
+
+        def freq(k):  # P(>= k consecutive two-step returns | degree d)
+            return sum(c for (deg, m), c in b.tails.items()
+                       if deg == d and m >= k) / b.anchors[d]
+
+        assert 0.0 <= freq(2) <= freq(1) <= 1.0
 
     def test_trajectory_recording(self):
-        config = SimConfig(2, 10, seed=15, record_trajectory=True)
-        res = collect_run(config)
-        traj = res.collectors.trajectory
-        assert len(traj) == config.total_steps
-        assert traj[0][0] == 1
-        attached = [a for *_, a in traj if a is not None]
+        config = SimConfig(2, 10, seed=15)
+        lines = trajectory_lines(2, run(config)[1])
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == config.total_steps
+        assert rows[0][0] == "1"
+        attached = [int(a) for *_, a in rows if a]
         assert attached == list(range(1, 10))
 
     def test_root_entries_match_trajectory(self):
@@ -103,23 +211,12 @@ class TestCollectors:
         # (the walker starts at the root, so t=0 counts as being there)
         for s in (1, 2):
             for seed in (17, 18, 19):
-                config = SimConfig(s, 300, seed=seed, record_trajectory=True)
-                res = collect_run(config)
-                traj = res.collectors.trajectory
-                positions = [ROOT] + [pos for _, pos, *_ in traj]
+                res = collect_run(SimConfig(s, 300, seed=seed))
+                positions = [ROOT] + res.positions.tolist()
                 arrivals = sum(1 for prev, pos in zip(positions, positions[1:])
                                if pos == ROOT and prev != ROOT)
                 assert arrivals > 0
-                assert res.collectors.root_entries == arrivals
-
-    def test_out_of_order_events_rejected(self):
-        config = SimConfig(2, 10, seed=16)
-        tree, walker, rng = init(config)
-        coll = RunCollectors(config)
-        event = walker_step(config, tree, walker, rng)
-        coll.record(event, tree, walker)
-        with pytest.raises(ProtocolError):
-            coll.record(event, tree, walker)
+                assert res.root_entries == arrivals
 
 
 class TestLogGrid:
@@ -214,7 +311,7 @@ class TestCsv:
 
     def test_visits(self):
         res = collect_run(SimConfig(2, 2, seed=0))
-        lines = visits_csv(res.collectors)
+        lines = visits_csv(res)
         assert lines[0] == "vertex,count,first_visit,first_attach"
         assert lines[1] == "0,2,0,2"
         assert lines[2] == "1,0,,"
