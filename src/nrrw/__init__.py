@@ -1,12 +1,12 @@
 """No Restart Random Walk tree growth: simulator, analytic oracles and a
 statistical verification harness."""
 
-from .engine import ConfigError, GrowingTree, PrngStream, SimConfig, run
+from .engine import ConfigError, PrngStream, SimConfig, run
 from .stats import RunStats, collect_run
 from .harness import ExperimentSpec, run_experiment, verify
 
 __all__ = [
-    "ConfigError", "GrowingTree", "PrngStream", "SimConfig", "run",
+    "ConfigError", "PrngStream", "SimConfig", "run",
     "RunStats", "collect_run", "ExperimentSpec", "run_experiment", "verify",
 ]
 

@@ -48,7 +48,10 @@ def simulate(s, nodes, seed, trajectory, out):
               help="parallel replicas (default: CPU count)")
 def experiment(config_path, jobs):
     """Run a replicated experiment described by a JSON file."""
-    spec = harness.ExperimentSpec.from_json(config_path)
+    try:
+        spec = harness.ExperimentSpec.from_json(config_path)
+    except harness.UsageError as exc:
+        raise click.UsageError(str(exc))
     if jobs is not None:
         spec.jobs = jobs
     elif spec.jobs == 1:
@@ -65,9 +68,11 @@ def experiment(config_path, jobs):
 @click.option("--nodes", type=int, default=None)
 @click.option("--replicas", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=None,
+              help="parallel replicas, for suites that run cells")
 def verify(suite, s, nodes, replicas, seed, jobs):
-    """Run one named verification suite; exit code 0 iff it passes."""
+    """Run one named verification suite; exit code 0 iff it passes. An
+    option the suite does not take is a usage error."""
     options = {k: v for k, v in
                [("s", s), ("nodes", nodes), ("replicas", replicas),
                 ("seed", seed), ("jobs", jobs)]

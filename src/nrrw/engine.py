@@ -26,10 +26,6 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
-class UnknownVertexError(KeyError):
-    """Vertex label outside the tree."""
-
-
 class ResourceExhausted(RuntimeError):
     """Run aborted; carries the progress reached when the failure occurred."""
 
@@ -91,8 +87,6 @@ class PrngStream:
     _CHUNK = _CHUNK
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = seed
-        self.stream_id = stream_id
         self._gen = bit_stream(seed, stream_id)
         self._buf: list[int] = []
         self._pos = 0
@@ -110,75 +104,6 @@ class PrngStream:
     def uniform(self) -> float:
         """A float in [0, 1); drawn from the same buffered stream."""
         return self.randbelow(1 << 53) / (1 << 53)
-
-
-class GrowingTree:
-    """Append-only rooted tree plus the root self-loop.
-
-    Vertices are labelled by birth order; per-vertex state lives in flat lists
-    so attachment is O(1) and uniform neighbor sampling needs only the degree
-    and an index into the child list.
-    """
-
-    __slots__ = ("parent", "children", "depth", "birth_time", "step_parameter")
-
-    def __init__(self, step_parameter: int):
-        self.step_parameter = step_parameter
-        self.parent = [NO_PARENT]
-        self.children: list[list[int]] = [[]]
-        self.depth = [0]
-        self.birth_time = [0]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.parent)
-
-    def _check(self, v: int):
-        if not 0 <= v < len(self.parent):
-            raise UnknownVertexError(v)
-
-    def degree_of(self, v: int) -> int:
-        """Walk degree: the root's self-loop contributes 2."""
-        self._check(v)
-        base = 2 if v == ROOT else 1
-        return base + len(self.children[v])
-
-    def structural_degree(self, v: int) -> int:
-        """Degree counting tree edges only (no self-loop)."""
-        self._check(v)
-        base = 0 if v == ROOT else 1
-        return base + len(self.children[v])
-
-    def depth_of(self, v: int) -> int:
-        self._check(v)
-        return self.depth[v]
-
-    def is_leaf(self, v: int) -> bool:
-        return self.degree_of(v) == 1
-
-    def attach(self, pos: int, time: int) -> int:
-        """Attach a new degree-one vertex to ``pos``; returns its label."""
-        label = len(self.parent)
-        self.parent.append(pos)
-        self.children[pos].append(label)
-        self.children.append([])
-        self.depth.append(self.depth[pos] + 1)
-        self.birth_time.append(time)
-        return label
-
-    def iter_edges(self):
-        """Edges as (u, v) pairs, the root self-loop first."""
-        yield (ROOT, ROOT)
-        for j in range(1, len(self.parent)):
-            yield (self.parent[j], j)
-
-    def degree_counts(self) -> dict[int, int]:
-        """Histogram {degree: vertex count} of walk degrees."""
-        counts: dict[int, int] = {}
-        for v in range(len(self.parent)):
-            d = (2 if v == ROOT else 1) + len(self.children[v])
-            counts[d] = counts.get(d, 0) + 1
-        return counts
 
 
 def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -3,13 +3,15 @@ and artifact export."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -17,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import engine, oracles, stats
-from .engine import ROOT, SimConfig
+from .engine import ROOT, ConfigError, SimConfig
 from .stats import RunStats, collect_run, log_grid
 
 
@@ -41,10 +43,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.cells:
             raise UsageError("experiment needs at least one (s, nodes) cell")
-        if self.replicas < 1:
-            raise UsageError("replicas must be >= 1")
+        for key, least in (("replicas", 1), ("base_seed", 0),
+                           ("snapshot_points", 1), ("jobs", 1)):
+            if getattr(self, key) < least:
+                raise UsageError(f"{key} must be >= {least}")
         for s, n in self.cells:
-            SimConfig(s, n, seed=0)  # validates the cell parameters
+            try:
+                SimConfig(s, n, seed=0)
+            except ConfigError as exc:
+                raise UsageError(f"cells: {[s, n]}: {exc}") from exc
         unknown = [c for c in self.checks if c not in SUITES]
         if unknown:
             raise UsageError(
@@ -52,10 +59,40 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
+        """Load a spec from a JSON object; a malformed key is a
+        ``UsageError`` that names it."""
         with open(path) as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise UsageError("an experiment file holds one JSON object")
+        for key, value in raw.items():
+            if key not in _SPEC_KEYS:
+                raise UsageError(f"unknown key {key!r}; "
+                                 f"allowed: {list(_SPEC_KEYS)}")
+            if not _SPEC_KEYS[key](value):
+                raise UsageError(f"{key} must be {cls.__annotations__[key]}, "
+                                 f"got {value!r}")
         raw["cells"] = [tuple(c) for c in raw.get("cells", [])]
         return cls(**raw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the test each key's JSON value must pass to fill the ExperimentSpec field
+_SPEC_KEYS: dict[str, Callable[[object], bool]] = {
+    "cells": lambda v: isinstance(v, list) and all(
+        isinstance(c, list) and len(c) == 2 and all(map(_is_int, c))
+        for c in v),
+    "replicas": _is_int,
+    "base_seed": _is_int,
+    "checks": lambda v: isinstance(v, list) and all(
+        isinstance(c, str) for c in v),
+    "output_dir": lambda v: isinstance(v, str),
+    "snapshot_points": _is_int,
+    "jobs": _is_int,
+}
 
 
 def replica_seed(base_seed: int, cell_index: int, replica_index: int) -> int:
@@ -99,7 +136,7 @@ def run_replica(s: int, nodes: int, seed: int,
                 snapshot_grid: Optional[Sequence[int]] = None,
                 checkpoint_grid: Optional[Sequence[int]] = None,
                 keep_bounce_runs: bool = False,
-                keep_bounce_stats: bool = True) -> ReplicaSummary:
+                keep_bounce_stats: bool = False) -> ReplicaSummary:
     config = SimConfig(s, nodes, seed)
     t0 = time.perf_counter()
     try:
@@ -141,7 +178,7 @@ def _worker(args) -> ReplicaSummary:
 def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
              cell_index: int = 0, snapshot_points: int = 20,
              jobs: int = 1, keep_bounce_runs: bool = False,
-             keep_bounce_stats: bool = True) -> list[ReplicaSummary]:
+             keep_bounce_stats: bool = False) -> list[ReplicaSummary]:
     """Run one (s, nodes) cell; replica order in the result is fixed, so any
     merge downstream is independent of execution order."""
     grid = log_grid(min(100, nodes), nodes, snapshot_points)
@@ -204,18 +241,34 @@ class VerificationReport:
         return out
 
 
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def suite(name: str):
+    """Register a suite under ``name``. The body takes the suite's options
+    and returns ``(failures, details)``; the registered function times it and
+    returns a ``SuiteResult`` that passes iff there are no failures, with
+    details ``{"failures": failures, **details}``."""
+    def register(body):
+        @functools.wraps(body)
+        def run_suite(**options) -> SuiteResult:
+            t0 = time.perf_counter()
+            failures, details = body(**options)
+            return SuiteResult(name, not failures, time.perf_counter() - t0,
+                               {"failures": failures, **details})
+        SUITES[name] = run_suite
+        return run_suite
+    return register
+
+
 def _binom_sigma(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
-def _dkw_margin(n: int, alpha: float = 0.01) -> float:
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-
-
-def suite_star_tail(samples: int = 100_000, seed: int = 2024, **_) -> SuiteResult:
+@suite("star-tail")
+def suite_star_tail(samples: int = 100_000, seed: int = 2024):
     """Exact enumeration equality for small parameters plus Monte Carlo
     agreement of the star-process degree tail with its closed form."""
-    t0 = time.perf_counter()
     failures = []
     for s in (2, 4):
         for variant in (oracles.NON_ROOT, oracles.ROOT_VARIANT):
@@ -248,16 +301,14 @@ def suite_star_tail(samples: int = 100_000, seed: int = 2024, **_) -> SuiteResul
     if abs(p_leaf - 1.0 / 3.0) > 3.0 * _binom_sigma(1.0 / 3.0, n_first):
         failures.append(f"root-variant first leaf-step frequency {p_leaf:.4f} "
                         "far from 1/3")
-    return SuiteResult("star-tail", not failures, time.perf_counter() - t0,
-                       {"failures": failures, "worst_sigma": worst,
-                        "root_first_leaf_freq": p_leaf, "samples": samples})
+    return failures, {"worst_sigma": worst, "root_first_leaf_freq": p_leaf,
+                      "samples": samples}
 
 
-def suite_t_distribution(samples: int = 100_000, seed: int = 2025,
-                         s: int = 2, **_) -> SuiteResult:
+@suite("t-distribution")
+def suite_t_distribution(samples: int = 100_000, seed: int = 2025, s: int = 2):
     """Rational telescoping of the parent-hitting-time pmf, plus Monte Carlo
     total-variation agreement of sampled hitting times."""
-    t0 = time.perf_counter()
     failures = []
     for s_chk in (2, 4, 6, 8):
         for big_k in (0, 3, 7, 23):
@@ -280,16 +331,14 @@ def suite_t_distribution(samples: int = 100_000, seed: int = 2025,
         tv += 0.5 * abs(counts.get(k, 0) / samples - oracles.t_pmf(s, k))
     if tv > 0.02:
         failures.append(f"TV distance {tv:.4f} > 0.02 at s={s}")
-    return SuiteResult("t-distribution", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, "tv": tv, "censored": censored,
-                        "samples": samples, "s": s})
+    return failures, {"tv": tv, "censored": censored, "samples": samples,
+                      "s": s}
 
 
-def suite_t_expectation(**_) -> SuiteResult:
+@suite("t-expectation")
+def suite_t_expectation():
     """Convergence of the mean partial sums to 1 + 2*zeta(s/2), and the s=2
     divergence."""
-    t0 = time.perf_counter()
     failures = []
     details = {}
     for s in (4, 6, 8):
@@ -314,19 +363,16 @@ def suite_t_expectation(**_) -> SuiteResult:
         failures.append(f"s=2 partial sum {div} not > 50")
     if oracles.t_expectation(2) != math.inf:
         failures.append("t_expectation(2) should be +inf")
-    return SuiteResult("t-expectation", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, **details})
+    return failures, details
 
 
+@suite("leaf-fraction")
 def suite_leaf_fraction(s: int = 4, nodes: int = 100_000, replicas: int = 20,
-                        seed: int = 101, jobs: int = 1, **_) -> SuiteResult:
+                        seed: int = 101, jobs: int = 1):
     """Replica-mean leaf fraction against the renewal lower bound, plus the
     stochastic domination of renewal gaps by the hitting-time tail."""
-    t0 = time.perf_counter()
     failures = []
-    summaries = run_cell(s, nodes, replicas, seed, jobs=jobs,
-                         keep_bounce_stats=False)
+    summaries = run_cell(s, nodes, replicas, seed, jobs=jobs)
     fractions = [r.leaf_count / r.vertex_count for r in summaries]
     mean = sum(fractions) / len(fractions)
     bound = oracles.leaf_fraction_lower_bound(s)
@@ -336,36 +382,30 @@ def suite_leaf_fraction(s: int = 4, nodes: int = 100_000, replicas: int = 20,
     if low < 2.0 / 3.0:
         failures.append(f"replica leaf fraction {low:.4f} < 2/3")
     gaps = [g for r in summaries for g in r.renewal_gaps]
-    gap_checks = []
     if gaps:
         n = len(gaps)
         for k in range(0, 30):
             emp = sum(1 for g in gaps if g >= 2 * k + 1) / n
             ref = oracles.t_ccdf(s, k)
-            ok = emp >= ref - 3.0 * _binom_sigma(ref, n)
-            gap_checks.append((k, emp, ref, ok))
-            if not ok:
+            if emp < ref - 3.0 * _binom_sigma(ref, n):
                 failures.append(f"renewal gap CCDF below hitting-time tail "
                                 f"at k={k}: {emp:.4f} < {ref:.4f}")
-    return SuiteResult("leaf-fraction", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, "mean": mean, "min": low,
-                        "bound": bound, "replicas": replicas, "nodes": nodes,
-                        "n_gaps": len(gaps)})
+    return failures, {"mean": mean, "min": low, "bound": bound,
+                      "replicas": replicas, "nodes": nodes,
+                      "n_gaps": len(gaps)}
 
 
+@suite("leaf-fraction-s2")
 def suite_leaf_fraction_s2(nodes: int = 1_000_000, replicas: int = 20,
-                           seed: int = 103, jobs: int = 1, **_) -> SuiteResult:
+                           seed: int = 103, jobs: int = 1):
     """s=2: replica-mean leaf fraction increases along the snapshot grid and
     clears 0.90 at the final size (pilot-calibrated threshold).
 
     The monotonicity clause is strict; between late grid points the true
     mean increments are comparable to the replica-mean noise at any replica
     count that fits the runtime budget, so occasional tiny dips fail it."""
-    t0 = time.perf_counter()
     failures = []
-    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs,
-                         keep_bounce_stats=False)
+    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs)
     series = mean_leaf_series(summaries)
     fracs = [(n, leaves / n) for n, leaves in series]
     for (n1, f1), (n2, f2) in zip(fracs, fracs[1:]):
@@ -375,14 +415,13 @@ def suite_leaf_fraction_s2(nodes: int = 1_000_000, replicas: int = 20,
     final = fracs[-1][1] if fracs else 0.0
     if not final > 0.90:
         failures.append(f"final mean leaf fraction {final:.4f} <= 0.90")
-    return SuiteResult("leaf-fraction-s2", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, "series": fracs,
-                        "final": final, "replicas": replicas, "nodes": nodes})
+    return failures, {"series": fracs, "final": final, "replicas": replicas,
+                      "nodes": nodes}
 
 
+@suite("geometric-visits")
 def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
-                           seed: int = 105, jobs: int = 1, **_) -> SuiteResult:
+                           seed: int = 105, jobs: int = 1):
     """s=1 transience consequences: root-arrival counts against the geometric
     tail (2/3)^(k-1), and early last-visit times.
 
@@ -395,10 +434,8 @@ def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
     2/3, and otherwise the walker steps back from vertex 1 with probability
     1/2 at t=3, so P(steps at root >= 2) >= 5/6 > 2/3 for every N >= 4.
     """
-    t0 = time.perf_counter()
     failures = []
-    summaries = run_cell(1, nodes, replicas, seed, jobs=jobs,
-                         keep_bounce_stats=False)
+    summaries = run_cell(1, nodes, replicas, seed, jobs=jobs)
     visits = [r.root_visits for r in summaries]
     entries = [r.root_entries for r in summaries]
     n = len(visits)
@@ -406,12 +443,11 @@ def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
     empirical = [(k, sum(1 for v in visits if v >= k) / n)
                  for k in range(1, top + 2)]
     rate = oracles.GEOMETRIC_RETURN_RATE
-    report = stats.dominance_check(empirical, lambda k: rate ** (k - 1),
-                                   "<=", n_samples=n)
+    report = stats.dominance_check(empirical, lambda k: rate ** (k - 1), n)
     entry_emp = [(k, sum(1 for v in entries if v >= k) / n)
                  for k in range(1, max(entries) + 2)]
     entry_report = stats.dominance_check(entry_emp, lambda k: rate ** (k - 1),
-                                         "<=", n_samples=n)
+                                         n)
     if not entry_report.passed:
         failures.append(f"root-arrival CCDF above (2/3)^(k-1)+margin; worst "
                         f"violation {entry_report.worst_violation:.4f}")
@@ -419,26 +455,24 @@ def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
     mean_last = sum(last_frac) / n
     if not mean_last < 0.1:
         failures.append(f"mean last-visit fraction {mean_last:.4f} >= 0.1")
-    return SuiteResult("geometric-visits", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, "mean_last_visit": mean_last,
-                        "max_visits": top, "margin": report.margin,
-                        "worst_violation": report.worst_violation,
-                        "entries_dominated": entry_report.passed,
-                        "entries_worst_violation": entry_report.worst_violation,
-                        "replicas": n, "nodes": nodes})
+    return failures, {"mean_last_visit": mean_last, "max_visits": top,
+                      "margin": report.margin,
+                      "worst_violation": report.worst_violation,
+                      "entries_dominated": entry_report.passed,
+                      "entries_worst_violation": entry_report.worst_violation,
+                      "replicas": n, "nodes": nodes}
 
 
+@suite("recurrence")
 def suite_recurrence(nodes: int = 100_000, replicas: int = 20,
-                     seed: int = 107, jobs: int = 1, **_) -> SuiteResult:
+                     seed: int = 107, jobs: int = 1):
     """s in {2, 4}: root visits and parity changes strictly increase across
     logarithmic checkpoints in every replica."""
-    t0 = time.perf_counter()
     failures = []
     details = {}
     for idx, s in enumerate((2, 4)):
         summaries = run_cell(s, nodes, replicas, seed, cell_index=idx,
-                             jobs=jobs, keep_bounce_stats=False)
+                             jobs=jobs)
         for r in summaries:
             cps = r.checkpoints
             j_root = [cp["visits"][ROOT] for cp in cps]
@@ -450,18 +484,17 @@ def suite_recurrence(nodes: int = 100_000, replicas: int = 20,
                 failures.append(f"s={s} seed={r.seed}: parity changes not "
                                 f"strictly increasing: {parity}")
         details[f"s{s}_root_visits_last"] = [r.root_visits for r in summaries]
-    return SuiteResult("recurrence", not failures, time.perf_counter() - t0,
-                       {"failures": failures, **details,
-                        "replicas": replicas, "nodes": nodes})
+    return failures, {**details, "replicas": replicas, "nodes": nodes}
 
 
+@suite("bounce")
 def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
-                 max_k: int = 30, jobs: int = 1, **_) -> SuiteResult:
+                 max_k: int = 30, jobs: int = 1):
     """Pooled consecutive two-step-return frequencies against the exact
     product bound, degree by degree."""
-    t0 = time.perf_counter()
     failures = []
-    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs)
+    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs,
+                         keep_bounce_stats=True)
     anchors = merge_counters([r.bounce_anchors for r in summaries])
     tails = merge_counters([r.bounce_tails for r in summaries])
     by_degree: dict[int, Counter] = {}
@@ -470,7 +503,7 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
     worst = 0.0
     checked = 0
     for d, n_d in anchors.items():
-        margin = _dkw_margin(n_d)
+        margin = stats.dkw_margin(n_d)
         runs = by_degree.get(d, Counter())
         # suffix counts: hits_at_least[k] = number of anchors with >= k returns
         top = min(max(runs, default=0), max_k)
@@ -490,16 +523,15 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
             if freq > limit:
                 failures.append(f"d={d} k={k}: freq {freq:.4f} > bound "
                                 f"{limit:.4f} (n={n_d})")
-    return SuiteResult("bounce", not failures, time.perf_counter() - t0,
-                       {"failures": failures[:10], "checked": checked,
-                        "worst_gap": worst, "degrees": len(anchors),
-                        "replicas": replicas, "nodes": nodes})
+    return failures[:10], {"checked": checked, "worst_gap": worst,
+                           "degrees": len(anchors), "replicas": replicas,
+                           "nodes": nodes}
 
 
-def suite_invariants(seed: int = 111, **_) -> SuiteResult:
+@suite("invariants")
+def suite_invariants(seed: int = 111):
     """Exact per-step structural laws on a batch of small runs, plus the
     deterministic-replay contract."""
-    t0 = time.perf_counter()
     failures = []
     cases = [(1, 200), (2, 200), (3, 120), (4, 150), (5, 80), (6, 120)]
     for i, (s, n) in enumerate(cases):
@@ -510,8 +542,7 @@ def suite_invariants(seed: int = 111, **_) -> SuiteResult:
         lines_b = engine.edge_list_lines(engine.run(config)[0], config)
         if lines_a != lines_b:
             failures.append(f"s={s} n={n}: replay not byte-identical")
-    return SuiteResult("invariants", not failures, time.perf_counter() - t0,
-                       {"failures": failures, "cases": cases})
+    return failures, {"cases": cases}
 
 
 def check_invariants(config: SimConfig) -> list[str]:
@@ -568,45 +599,34 @@ def check_invariants(config: SimConfig) -> list[str]:
     return errors
 
 
+@suite("depth-dichotomy")
 def suite_depth_dichotomy(nodes: int = 10_000, replicas: int = 10,
-                          seed: int = 113, jobs: int = 1, **_) -> SuiteResult:
+                          seed: int = 113, jobs: int = 1):
     """Qualitative transient-vs-recurrent shape split: s=1 trees run much
     deeper than s=2 trees at equal size."""
-    t0 = time.perf_counter()
     failures = []
-    deep = run_cell(1, nodes, replicas, seed, cell_index=0, jobs=jobs,
-                    keep_bounce_stats=False)
-    flat = run_cell(2, nodes, replicas, seed, cell_index=1, jobs=jobs,
-                    keep_bounce_stats=False)
+    deep = run_cell(1, nodes, replicas, seed, cell_index=0, jobs=jobs)
+    flat = run_cell(2, nodes, replicas, seed, cell_index=1, jobs=jobs)
     mean_deep = sum(r.max_depth for r in deep) / len(deep)
     mean_flat = sum(r.max_depth for r in flat) / len(flat)
     ratio = mean_deep / mean_flat
     if not ratio > 5.0:
         failures.append(f"depth ratio {ratio:.2f} <= 5")
-    return SuiteResult("depth-dichotomy", not failures,
-                       time.perf_counter() - t0,
-                       {"failures": failures, "mean_depth_s1": mean_deep,
-                        "mean_depth_s2": mean_flat, "ratio": ratio})
-
-
-SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "star-tail": suite_star_tail,
-    "t-distribution": suite_t_distribution,
-    "t-expectation": suite_t_expectation,
-    "leaf-fraction": suite_leaf_fraction,
-    "leaf-fraction-s2": suite_leaf_fraction_s2,
-    "geometric-visits": suite_geometric_visits,
-    "recurrence": suite_recurrence,
-    "bounce": suite_bounce,
-    "invariants": suite_invariants,
-    "depth-dichotomy": suite_depth_dichotomy,
-}
+    return failures, {"mean_depth_s1": mean_deep, "mean_depth_s2": mean_flat,
+                      "ratio": ratio}
 
 
 def verify(suite_name: str, **options) -> VerificationReport:
+    """Run one suite; an unknown suite or an option it does not take is a
+    ``UsageError``."""
     if suite_name not in SUITES:
         raise UsageError(f"unknown suite {suite_name!r}; "
                          f"available: {sorted(SUITES)}")
+    accepted = list(inspect.signature(SUITES[suite_name]).parameters)
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise UsageError(f"suite {suite_name!r} does not take {unknown}; "
+                         f"it takes {accepted}")
     return VerificationReport([SUITES[suite_name](**options)])
 
 
@@ -670,7 +690,10 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
                 }) + "\n")
         cell_reports.append({"cell": [s, nodes], "replicas": spec.replicas,
                              "failed": len(failed)})
-    suite_results = [SUITES[name](jobs=spec.jobs) for name in spec.checks]
+    suite_results = [
+        SUITES[name](**({"jobs": spec.jobs} if "jobs" in
+                        inspect.signature(SUITES[name]).parameters else {}))
+        for name in spec.checks]
     report = VerificationReport(suite_results, failed_replicas)
     payload = {"cells": cell_reports,
                "suites": [{"name": r.name, "passed": r.passed,

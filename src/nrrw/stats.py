@@ -18,14 +18,6 @@ class EmptyHistogramError(ValueError):
     pass
 
 
-class FitError(ValueError):
-    """Not enough usable support for a tail fit; carries the usable range."""
-
-    def __init__(self, message: str, usable: Sequence[int] = ()):
-        super().__init__(message)
-        self.usable = list(usable)
-
-
 # Checkpoints record the visit counts of the first PROBE_VERTICES vertices.
 PROBE_VERTICES = 10
 
@@ -217,20 +209,15 @@ def log_grid(lo: int, hi: int, points: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Empirical distribution machinery
 
-def empirical_ccdf(counts: dict[int, int],
-                   condition: str = "all") -> list[tuple[int, float]]:
+def empirical_ccdf(counts: dict[int, int]) -> list[tuple[int, float]]:
     """Exact empirical CCDF of a {value: count} histogram.
 
-    ``condition="non_leaf"`` restricts to degree >= 2 before normalizing.
-    Returns (k, P(value >= k)) for k from the smallest retained value to the
+    Returns (k, P(value >= k)) for k from the smallest value with mass to the
     largest, on a unit grid.
     """
-    if condition not in ("all", "non_leaf"):
-        raise ValueError(f"unknown condition {condition!r}")
-    items = {k: c for k, c in counts.items()
-             if c > 0 and (condition == "all" or k >= 2)}
+    items = {k: c for k, c in counts.items() if c > 0}
     if not items:
-        raise EmptyHistogramError("no mass in histogram after conditioning")
+        raise EmptyHistogramError("no mass in histogram")
     total = sum(items.values())
     lo, hi = min(items), max(items)
     out = []
@@ -241,98 +228,34 @@ def empirical_ccdf(counts: dict[int, int],
     return out
 
 
-def ccdf_to_counts(ccdf: Sequence[tuple[int, float]], total: int) -> dict[int, int]:
-    """Invert ``empirical_ccdf``: difference the CCDF back into a histogram."""
-    counts = {}
-    for (k, p), (_, p_next) in zip(ccdf, list(ccdf[1:]) + [(None, 0.0)]):
-        c = round((p - p_next) * total)
-        if c:
-            counts[k] = c
-    return counts
-
-
-@dataclass
-class TailFit:
-    slope: float
-    stderr: float
-    r_squared: float
-    k_range: tuple[int, int]
-
-    @property
-    def linear(self) -> bool:
-        return self.r_squared >= 0.99
-
-
-def tail_exponent_fit(ccdf: Sequence[tuple[int, float]], k_min: int,
-                      k_max: int, min_points: int = 5) -> TailFit:
-    """OLS of log CCDF against log k over [k_min, k_max].
-
-    The slope estimates the CCDF tail exponent; R-squared below 0.99 flags a
-    tail that is not power-law linear in log-log coordinates.
-    """
-    pts = [(k, p) for k, p in ccdf if k_min <= k <= k_max and p > 0 and k > 0]
-    if len(pts) < min_points:
-        raise FitError(
-            f"need >= {min_points} positive points in [{k_min}, {k_max}], "
-            f"got {len(pts)}", usable=[k for k, _ in pts])
-    x = np.log([k for k, _ in pts])
-    y = np.log([p for _, p in pts])
-    n = len(x)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    slope = sxy / sxx
-    resid = y - (ym + slope * (x - xm))
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    if n > 2:
-        stderr = math.sqrt(ss_res / (n - 2) / sxx)
-    else:
-        stderr = 0.0
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return TailFit(slope, stderr, r2, (pts[0][0], pts[-1][0]))
+def dkw_margin(n: int, alpha: float = 0.01) -> float:
+    """Half-width sqrt(ln(2/alpha) / (2n)) of the two-sided DKW band at
+    level ``alpha`` around an empirical CDF of ``n`` samples (Massart's
+    constant)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 @dataclass
 class DominanceReport:
-    direction: str
     margin: float
-    checks: list[tuple[int, float, float, bool]]  # (k, empirical, bound, ok)
-    worst_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, _, ok in self.checks)
+    passed: bool
+    worst_violation: float  # largest excess over bound + margin, or 0.0
 
 
 def dominance_check(empirical: Sequence[tuple[int, float]],
-                    bound: Callable[[int], float],
-                    direction: str, n_samples: int,
+                    bound: Callable[[int], float], n_samples: int,
                     alpha: float = 0.01) -> DominanceReport:
-    """Check an empirical CCDF against a one-sided analytic bound.
-
-    The concentration margin sqrt(ln(2/alpha) / (2n)) is the two-sided DKW
-    band at level alpha per curve; ``direction`` "<=" asserts empirical <=
-    bound + margin pointwise, ">=" the reverse with the margin subtracted.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if direction not in ("<=", ">="):
-        raise ValueError(f"direction must be '<=' or '>=', got {direction!r}")
-    margin = math.sqrt(math.log(2.0 / alpha) / (2.0 * n_samples))
-    checks = []
-    worst = 0.0
+    """Check that an empirical CCDF stays below an analytic bound: empirical
+    <= bound + ``dkw_margin(n_samples, alpha)`` at every (k, empirical)."""
+    margin = dkw_margin(n_samples, alpha)
+    passed, worst = True, 0.0
     for k, p in empirical:
-        b = bound(k)
-        if direction == "<=":
-            ok = p <= b + margin
-            gap = p - (b + margin)
-        else:
-            ok = p >= b - margin
-            gap = (b - margin) - p
-        worst = max(worst, gap)
-        checks.append((k, p, b, ok))
-    return DominanceReport(direction, margin, checks, worst)
+        limit = bound(k) + margin
+        passed = passed and p <= limit
+        worst = max(worst, p - limit)
+    return DominanceReport(margin, passed, worst)
 
 
 # ---------------------------------------------------------------------------

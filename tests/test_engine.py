@@ -1,4 +1,4 @@
-"""Core engine: configuration, stepping rules, tree bookkeeping,
+"""Core engine: configuration, stepping rules, tree structure,
 determinism and exports."""
 
 import hashlib
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrrw.engine import (
-    NO_PARENT, ROOT, ConfigError, GrowingTree, PrngStream, SimConfig,
-    UnknownVertexError, dot_lines, edge_list_lines, run, trajectory_lines,
+    NO_PARENT, ROOT, ConfigError, PrngStream, SimConfig, dot_lines,
+    edge_list_lines, run, trajectory_lines,
 )
 from nrrw.stats import depths, first_children, walk_degrees
 
@@ -61,41 +61,6 @@ class TestPrngStream:
         n = PrngStream._CHUNK + 10
         draws = [rng.randbelow(100) for _ in range(n)]
         assert len(draws) == n
-
-
-class TestGrowingTree:
-    def test_initial_state(self):
-        tree = GrowingTree(2)
-        assert tree.vertex_count == 1
-        assert tree.parent == [NO_PARENT]
-        assert tree.degree_of(ROOT) == 2  # the self-loop counts twice
-        assert tree.structural_degree(ROOT) == 0
-        assert not tree.is_leaf(ROOT)
-
-    def test_attach_chain(self):
-        tree = GrowingTree(2)
-        a = tree.attach(ROOT, 2)
-        b = tree.attach(a, 4)
-        assert (a, b) == (1, 2)
-        assert tree.parent[b] == a
-        assert tree.depth_of(b) == 2
-        assert tree.birth_time[b] == 4
-        assert tree.degree_of(a) == 2
-        assert tree.is_leaf(b)
-
-    def test_unknown_vertex(self):
-        tree = GrowingTree(2)
-        with pytest.raises(UnknownVertexError):
-            tree.degree_of(5)
-        with pytest.raises(UnknownVertexError):
-            tree.depth_of(-1)
-
-    def test_iter_edges_and_degree_counts(self):
-        tree = GrowingTree(2)
-        tree.attach(ROOT, 2)
-        tree.attach(ROOT, 4)
-        assert list(tree.iter_edges()) == [(0, 0), (0, 1), (0, 2)]
-        assert tree.degree_counts() == {4: 1, 1: 2}
 
 
 class TestWalkerStep:

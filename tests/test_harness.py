@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrrw import cli, engine, harness
 from nrrw.harness import (
@@ -29,6 +33,36 @@ def summary_digest(summary: ReplicaSummary) -> str:
             value = sorted(value.items())
         h.update(json.dumps([f.name, value]).encode())
     return h.hexdigest()
+
+
+# any JSON value, and a valid value for each experiment-file key
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["invariants", "out", "20"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+SPEC_VALUES = {
+    "replicas": st.integers(1, 4),
+    "base_seed": st.integers(0, 2**70),
+    "checks": st.lists(st.sampled_from(["invariants", "bounce"]), max_size=2),
+    "output_dir": st.just("out"),
+    "snapshot_points": st.integers(1, 30),
+    "jobs": st.integers(1, 3),
+}
+
+
+@st.composite
+def spec_objects(draw):
+    """A spec as a JSON object, valid but for some zero-sized cells, with up
+    to two keys (maybe unknown ones) then set to arbitrary JSON."""
+    cells = st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2),
+                     min_size=1, max_size=2)
+    raw = draw(st.fixed_dictionaries({"cells": cells}, optional=SPEC_VALUES))
+    for key in draw(st.lists(st.sampled_from(["cells", *SPEC_VALUES,
+                                              "extra"]), max_size=2)):
+        raw[key] = draw(JSON_VALUES)
+    return raw
 
 
 class TestSeedDerivation:
@@ -66,7 +100,8 @@ class TestReplicaRuns:
         # pinned when the statistics were streamed per step; any change to
         # the random stream or to a statistic's definition changes it
         summary = run_replica(2, 2000, 7, log_grid(100, 2000, 20),
-                              log_grid(10, 2000, 10), keep_bounce_runs=True)
+                              log_grid(10, 2000, 10), keep_bounce_runs=True,
+                              keep_bounce_stats=True)
         assert summary.bounce_runs and summary.bounce_tails
         assert summary_digest(summary) == (
             "6dc481e7b37f6ff4b4296b6a2f1503df6f2ea2235ac0f312d6c5f818fb99d28e")
@@ -103,6 +138,19 @@ class TestVerificationPlumbing:
         report = verify("invariants")
         assert report.passed
 
+    def test_bounce_suite_reads_the_bounce_statistics(self):
+        # run_cell derives them only on request; without them the suite
+        # would check nothing and pass
+        result = verify("bounce", nodes=400, replicas=2, max_k=4).suites[0]
+        assert result.details["degrees"] > 0
+        assert result.details["checked"] == 4 * result.details["degrees"]
+
+    def test_rejects_options_the_suite_does_not_take(self):
+        with pytest.raises(UsageError, match=r"\['s'\].*'nodes'"):
+            verify("recurrence", s=3)
+        with pytest.raises(UsageError, match="jobs"):
+            verify("invariants", jobs=2)
+
 
 class TestExperimentSpec:
     def test_from_json(self, tmp_path):
@@ -121,6 +169,37 @@ class TestExperimentSpec:
             ExperimentSpec(cells=[(2, 50)], replicas=0)
         with pytest.raises(UsageError):
             ExperimentSpec(cells=[(2, 50)], checks=["no-such-suite"])
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"cells": [[2, 50]], "repliccas": 2}, "repliccas"),
+        ({"cells": [[2, 50]], "replicas": "20"}, "replicas"),
+        ({"cells": [[2, 50]], "base_seed": 1.5}, "base_seed"),
+        ({"cells": [[2, 50]], "snapshot_points": True}, "snapshot_points"),
+        ({"cells": [[2, 50]], "jobs": None}, "jobs"),
+        ({"cells": [[2, 50, 7]]}, "cells"),
+        ({"cells": [2, 50]}, "cells"),
+        ({"cells": [[2, "50"]]}, "cells"),
+        ({"cells": [[0, 50]]}, "cells"),
+        ({"cells": [[2, 50]], "checks": [["invariants"]]}, "checks"),
+        ({"cells": [[2, 50]], "output_dir": 7}, "output_dir"),
+    ])
+    def test_from_json_names_the_bad_key(self, tmp_path, raw, key):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(UsageError, match=key):
+            ExperimentSpec.from_json(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec_objects())
+    def test_from_json_loads_or_raises_usage_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.json"
+            path.write_text(json.dumps(raw))
+            try:
+                spec = ExperimentSpec.from_json(path)
+            except UsageError:
+                return
+        assert spec.cells == [tuple(c) for c in raw["cells"]]
 
     def test_run_experiment_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NRRW_OUT", raising=False)
@@ -164,6 +243,25 @@ class TestExperimentSpec:
                                                str(path), "--jobs", "1"])
         assert result.exit_code == 1
         assert "[FAIL] 1 replicas failed" in result.output
+
+    def test_rerun_artifacts_are_byte_identical(self, tmp_path, monkeypatch):
+        # byte for byte but the timings: each suite's runtime_s (report.json
+        # and report.txt) and each replica's steps_per_second
+        timings = re.compile(r'"runtime_s": [0-9.]+|"steps_per_second": '
+                             r'[0-9.e+]+|\([0-9]+\.[0-9]s\)')
+        monkeypatch.delenv("NRRW_OUT", raising=False)
+        runs = []
+        for sub in ("a", "b"):
+            spec = ExperimentSpec(cells=[(1, 80), (2, 120)], replicas=3,
+                                  base_seed=4,
+                                  checks=["invariants", "depth-dichotomy"],
+                                  output_dir=str(tmp_path / sub))
+            assert harness.run_experiment(spec).passed
+            runs.append({p.relative_to(tmp_path / sub):
+                         timings.sub("", p.read_text())
+                         for p in (tmp_path / sub).rglob("*") if p.is_file()})
+        assert len(runs[0]) == 12  # five files per cell, two reports
+        assert runs[0] == runs[1]
 
 
 class TestCli:
@@ -248,6 +346,12 @@ class TestCli:
         assert "[PASS] invariants" in result.output
         result = runner.invoke(cli.main, ["verify", "--suite", "nope"])
         assert result.exit_code != 0
+        result = runner.invoke(cli.main, ["verify", "--suite", "star-tail",
+                                          "--jobs", "2"])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert "does not take ['jobs']" in result.output
+        assert "'samples', 'seed'" in result.output
 
     def test_experiment_command(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NRRW_OUT", raising=False)
@@ -260,3 +364,8 @@ class TestCli:
                                           "--jobs", "1"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "report.txt").exists()
+        path.write_text(json.dumps({"cells": [[2, 40]], "replicas": "2"}))
+        result = runner.invoke(cli.main, ["experiment", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "Usage:" in result.output
+        assert "replicas must be int, got '2'" in result.output

@@ -7,15 +7,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nrrw.engine import (
-    ROOT, GrowingTree, PrngStream, SimConfig, run, trajectory_lines,
-)
+from nrrw.engine import ROOT, PrngStream, SimConfig, run, trajectory_lines
 from nrrw.harness import run_replica
 from nrrw.stats import (
-    DominanceReport, EmptyHistogramError, FitError, bounces_csv, ccdf_csv,
-    ccdf_to_counts, collect_run, degrees_csv, depths, dominance_check,
-    empirical_ccdf, leaves_csv, log_grid, tail_exponent_fit, visits_csv,
+    EmptyHistogramError, bounces_csv, ccdf_csv, collect_run, degrees_csv,
+    depths, dkw_margin, dominance_check, empirical_ccdf, leaves_csv,
+    log_grid, visits_csv,
 )
+
+
+class Tree:
+    """A plain list tree for the reference stepper: parent, children and
+    depth per vertex, in birth order."""
+
+    def __init__(self):
+        self.parent, self.children, self.depth = [-1], [[]], [0]
+
+    def attach(self, pos):
+        self.children[pos].append(len(self.parent))
+        self.parent.append(pos)
+        self.children.append([])
+        self.depth.append(self.depth[pos] + 1)
 
 
 def reference_run(s, n, seed):
@@ -23,7 +35,7 @@ def reference_run(s, n, seed):
     draws 0 and 1 take the self-loop and the rest pick a child in birth
     order; elsewhere draw 0 is the parent edge. Returns the tree and the
     position after every step."""
-    tree, rng, pos, steps = GrowingTree(s), PrngStream(seed), ROOT, []
+    tree, rng, pos, steps = Tree(), PrngStream(seed), ROOT, []
     for t in range(1, s * (n - 1) + 1):
         ch = tree.children[pos]
         if pos == ROOT:
@@ -33,8 +45,8 @@ def reference_run(s, n, seed):
             i = rng.randbelow(1 + len(ch))
             pos = tree.parent[pos] if i == 0 else ch[i - 1]
         steps.append(pos)
-        if t % s == 0 and tree.vertex_count < n:
-            tree.attach(pos, t)
+        if t % s == 0 and len(tree.parent) < n:
+            tree.attach(pos)
     return tree, steps
 
 
@@ -87,9 +99,11 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
             even_pos, even_deg = pos, d
         prev = pos
     close_run(run_degs)
-    out.update(clock=len(steps), vertex_count=tree.vertex_count,
+    degrees = Counter((2 if v == ROOT else 1) + len(ch)
+                      for v, ch in enumerate(tree.children))
+    out.update(clock=len(steps), vertex_count=len(tree.parent),
                leaf_count=leaves, max_depth=max(tree.depth),
-               root_visits=visits[ROOT], degree_counts=tree.degree_counts(),
+               root_visits=visits[ROOT], degree_counts=dict(degrees),
                renewal_gaps=[b - a for a, b in zip(marks, marks[1:])],
                bounce_anchors=dict(anchors), bounce_tails=dict(tails),
                bounce_runs=runs)
@@ -104,7 +118,8 @@ class TestReferenceStepper:
         for seed in (3, 17, 2 ** 63 + 5):
             tree, steps = reference_run(s, n, seed)
             want, ledger = reference_summary(s, n, tree, steps, grid, cp_grid)
-            got = run_replica(s, n, seed, grid, cp_grid, keep_bounce_runs=True)
+            got = run_replica(s, n, seed, grid, cp_grid, keep_bounce_runs=True,
+                              keep_bounce_stats=True)
             assert got.status == "ok"
             for name, value in want.items():
                 assert getattr(got, name) == value, name
@@ -236,67 +251,46 @@ class TestEmpiricalCcdf:
         ccdf = empirical_ccdf({1: 3, 3: 1})
         assert ccdf == [(1, 1.0), (2, 0.25), (3, 0.25)]
 
-    def test_non_leaf_conditioning(self):
-        ccdf = empirical_ccdf({1: 90, 2: 5, 4: 5}, condition="non_leaf")
-        assert ccdf[0] == (2, 1.0)
-        assert ccdf[-1] == (4, 0.5)
-
     def test_roundtrip(self):
+        # differencing the CCDF gives back the histogram exactly
         counts = {1: 7, 2: 3, 5: 2, 9: 1}
         total = sum(counts.values())
-        assert ccdf_to_counts(empirical_ccdf(counts), total) == counts
+        ccdf = empirical_ccdf(counts)
+        diffs = [(k, round((p - q) * total)) for (k, p), (_, q)
+                 in zip(ccdf, ccdf[1:] + [(None, 0.0)])]
+        assert {k: c for k, c in diffs if c} == counts
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyHistogramError):
-            empirical_ccdf({1: 5}, condition="non_leaf")
-        with pytest.raises(ValueError):
-            empirical_ccdf({1: 5}, condition="sideways")
-
-
-class TestTailFit:
-    def test_exact_power_law(self):
-        ccdf = [(k, k ** -2.0) for k in range(1, 50)]
-        fit = tail_exponent_fit(ccdf, 1, 49)
-        assert fit.slope == pytest.approx(-2.0, abs=1e-9)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.linear
-
-    def test_geometric_is_flagged_nonlinear(self):
-        ccdf = [(k, 0.5 ** k) for k in range(1, 60)]
-        fit = tail_exponent_fit(ccdf, 1, 59)
-        assert not fit.linear
-
-    def test_needs_enough_points(self):
-        with pytest.raises(FitError) as err:
-            tail_exponent_fit([(1, 1.0), (2, 0.5)], 1, 2)
-        assert err.value.usable == [1, 2]
+            empirical_ccdf({})
+        with pytest.raises(EmptyHistogramError):
+            empirical_ccdf({1: 0, 2: 0})
 
 
 class TestDominance:
     def test_trivial_pass_and_fail(self):
         emp = [(1, 1.0), (2, 0.5), (3, 0.2)]
-        good = dominance_check(emp, lambda k: 1.0, "<=", n_samples=100)
+        good = dominance_check(emp, lambda k: 1.0, n_samples=100)
         assert good.passed
         assert good.worst_violation <= 0.0
-        bad = dominance_check(emp, lambda k: 0.0, "<=", n_samples=10 ** 8)
+        bad = dominance_check(emp, lambda k: 0.0, n_samples=10 ** 8)
         assert not bad.passed
         assert bad.worst_violation == pytest.approx(1.0, abs=1e-3)
 
     def test_margin_formula(self):
-        rep = dominance_check([(1, 1.0)], lambda k: 1.0, "<=",
-                              n_samples=200, alpha=0.05)
+        rep = dominance_check([(1, 1.0)], lambda k: 1.0, n_samples=200,
+                              alpha=0.05)
         assert rep.margin == pytest.approx(
             math.sqrt(math.log(2 / 0.05) / 400))
-
-    def test_ge_direction(self):
-        rep = dominance_check([(1, 0.9)], lambda k: 1.0, ">=", n_samples=10)
-        assert rep.passed  # 0.9 >= 1.0 - margin(10)
+        assert dkw_margin(200, 0.05) == rep.margin
+        assert dkw_margin(200) == pytest.approx(
+            math.sqrt(math.log(2 / 0.01) / 400))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            dominance_check([], lambda k: 1.0, "<", n_samples=10)
+            dominance_check([], lambda k: 1.0, n_samples=10, alpha=2.0)
         with pytest.raises(ValueError):
-            dominance_check([], lambda k: 1.0, "<=", n_samples=10, alpha=2.0)
+            dkw_margin(10, alpha=0.0)
 
 
 class TestCsv:
