@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -18,6 +20,15 @@ def main():
     """No Restart Random Walk simulator and verification harness."""
 
 
+@contextmanager
+def _usage_error_on(*errors: type[Exception]):
+    """Report ``errors`` raised on the command's input as usage errors."""
+    try:
+        yield
+    except errors as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 @main.command()
 @click.option("--s", "s", type=int, required=True, help="step parameter")
 @click.option("--nodes", type=int, required=True, help="target vertex count")
@@ -27,7 +38,8 @@ def main():
 def simulate(s, nodes, seed, trajectory, out):
     """Run one simulation and write edge list, statistics and (optionally)
     the trajectory."""
-    config = SimConfig(s, nodes, seed)
+    with _usage_error_on(engine.ConfigError):
+        config = SimConfig(s, nodes, seed)
     res = collect_run(config, log_grid(min(100, nodes), nodes, 20))
     path = output_root(out)
     write_lines(path / "edges.txt", engine.edge_list_lines(res.parent, config))
@@ -48,14 +60,12 @@ def simulate(s, nodes, seed, trajectory, out):
               help="parallel replicas (default: CPU count)")
 def experiment(config_path, jobs):
     """Run a replicated experiment described by a JSON file."""
-    try:
+    with _usage_error_on(harness.UsageError):
         spec = harness.ExperimentSpec.from_json(config_path)
-    except harness.UsageError as exc:
-        raise click.UsageError(str(exc))
-    if jobs is not None:
-        spec.jobs = jobs
-    elif spec.jobs == 1:
-        spec.jobs = os.cpu_count() or 1
+        if jobs is None and spec.jobs == 1:
+            jobs = os.cpu_count() or 1
+        if jobs is not None:  # replace re-validates the spec
+            spec = dataclasses.replace(spec, jobs=jobs)
     report = harness.run_experiment(spec)
     for line in report.lines():
         click.echo(line)
@@ -70,17 +80,12 @@ def experiment(config_path, jobs):
 @click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=None,
               help="parallel replicas, for suites that run cells")
-def verify(suite, s, nodes, replicas, seed, jobs):
+def verify(suite, **options):
     """Run one named verification suite; exit code 0 iff it passes. An
-    option the suite does not take is a usage error."""
-    options = {k: v for k, v in
-               [("s", s), ("nodes", nodes), ("replicas", replicas),
-                ("seed", seed), ("jobs", jobs)]
-               if v is not None}
-    try:
-        report = harness.verify(suite, **options)
-    except harness.UsageError as exc:
-        raise click.UsageError(str(exc))
+    option the suite does not take, or out of range, is a usage error."""
+    with _usage_error_on(harness.UsageError):
+        report = harness.verify(suite, **{k: v for k, v in options.items()
+                                          if v is not None})
     for line in report.lines():
         click.echo(line)
     for res in report.suites:
@@ -91,33 +96,36 @@ def verify(suite, s, nodes, replicas, seed, jobs):
 
 @main.group()
 def oracle():
-    """Print closed-form reference values as CSV."""
+    """Print closed-form reference values as CSV. Each command computes every
+    row before printing, so an argument its oracle rejects (a ValueError) is
+    a usage error with nothing printed."""
 
 
 @oracle.command("t-pmf")
 @click.option("--s", "s", type=int, required=True)
 @click.option("--kmax", type=int, default=50, show_default=True)
 def oracle_t_pmf(s, kmax):
-    click.echo("k,p")
-    for k in range(kmax + 1):
-        click.echo(f"{k},{oracles.t_pmf(s, k):.12g}")
+    with _usage_error_on(ValueError):
+        rows = [f"{k},{oracles.t_pmf(s, k):.12g}" for k in range(kmax + 1)]
+    click.echo("\n".join(["k,p", *rows]))
 
 
 @oracle.command("t-ccdf")
 @click.option("--s", "s", type=int, required=True)
 @click.option("--kmax", type=int, default=50, show_default=True)
 def oracle_t_ccdf(s, kmax):
-    click.echo("k,p")
-    for k in range(kmax + 1):
-        click.echo(f"{k},{oracles.t_ccdf(s, k):.12g}")
+    with _usage_error_on(ValueError):
+        rows = [f"{k},{oracles.t_ccdf(s, k):.12g}" for k in range(kmax + 1)]
+    click.echo("\n".join(["k,p", *rows]))
 
 
 @oracle.command("t-expectation")
 @click.option("--s", "s", type=int, required=True)
 def oracle_t_expectation(s):
-    click.echo("s,expectation,leaf_fraction_lower_bound")
-    click.echo(f"{s},{oracles.t_expectation(s):.12g},"
+    with _usage_error_on(ValueError):
+        row = (f"{s},{oracles.t_expectation(s):.12g},"
                f"{oracles.leaf_fraction_lower_bound(s):.12g}")
+    click.echo(f"s,expectation,leaf_fraction_lower_bound\n{row}")
 
 
 @oracle.command("star-tail")
@@ -127,19 +135,20 @@ def oracle_t_expectation(s):
               default=oracles.NON_ROOT, show_default=True)
 @click.option("--kmax", type=int, default=50, show_default=True)
 def oracle_star_tail(s, variant, kmax):
-    click.echo("k,p")
-    for k in range(1, kmax + 1):
-        click.echo(f"{k},{oracles.star_tail(s, k, variant):.12g}")
+    with _usage_error_on(ValueError):
+        rows = [f"{k},{oracles.star_tail(s, k, variant):.12g}"
+                for k in range(1, kmax + 1)]
+    click.echo("\n".join(["k,p", *rows]))
 
 
 @oracle.command("bounce-bound")
 @click.option("--d0", type=int, required=True)
 @click.option("--kmax", type=int, default=30, show_default=True)
 def oracle_bounce_bound(d0, kmax):
-    click.echo("k,bound,envelope")
-    for k in range(1, kmax + 1):
-        click.echo(f"{k},{oracles.bounce_bound(d0, k):.12g},"
-                   f"{oracles.bounce_envelope(d0, k):.12g}")
+    with _usage_error_on(ValueError):
+        rows = [f"{k},{bound:.12g},{oracles.bounce_envelope(d0, k):.12g}"
+                for k, bound in enumerate(oracles.bounce_bounds(d0, kmax), 1)]
+    click.echo("\n".join(["k,bound,envelope", *rows]))
 
 
 @main.command()
@@ -152,7 +161,8 @@ def oracle_bounce_bound(d0, kmax):
 @click.option("--out", default="out", show_default=True)
 def export(what, fmt, s, nodes, seed, out):
     """Re-run a deterministic simulation and export one artifact."""
-    config = SimConfig(s, nodes, seed)
+    with _usage_error_on(engine.ConfigError):
+        config = SimConfig(s, nodes, seed)
     path = output_root(out)
     if what == "tree":
         if fmt == "csv":

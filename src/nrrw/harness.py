@@ -9,10 +9,9 @@ import json
 import math
 import os
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -43,10 +42,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.cells:
             raise UsageError("experiment needs at least one (s, nodes) cell")
-        for key, least in (("replicas", 1), ("base_seed", 0),
-                           ("snapshot_points", 1), ("jobs", 1)):
-            if getattr(self, key) < least:
-                raise UsageError(f"{key} must be >= {least}")
+        _require_least(vars(self), {"replicas": 1, "base_seed": 0,
+                                    "snapshot_points": 1, "jobs": 1})
         for s, n in self.cells:
             try:
                 SimConfig(s, n, seed=0)
@@ -74,6 +71,13 @@ class ExperimentSpec:
                                  f"got {value!r}")
         raw["cells"] = [tuple(c) for c in raw.get("cells", [])]
         return cls(**raw)
+
+
+def _require_least(values: dict, least: dict[str, int]):
+    """Raise a ``UsageError`` naming a key whose value is below its least."""
+    for key, low in least.items():
+        if values.get(key, low) < low:
+            raise UsageError(f"{key} must be >= {low}, got {values[key]}")
 
 
 def _is_int(value) -> bool:
@@ -280,12 +284,12 @@ def suite_star_tail(samples: int = 100_000, seed: int = 2024):
                                     f"{variant}: {closed} != {enum}")
     rng = engine.PrngStream(seed)
     spec = oracles.StarProcessSpec(2, oracles.NON_ROOT, max_time=200_001)
-    degrees = [oracles.simulate_star(spec, rng).center_degree
-               for _ in range(samples)]
+    degrees = Counter(oracles.simulate_star(spec, rng).center_degree
+                      for _ in range(samples))
     worst = 0.0
-    for k in range(1, 11):
+    tail = stats.empirical_ccdf(degrees, [k + 1 for k in range(1, 11)])
+    for k, (_, emp) in enumerate(tail, 1):
         p = oracles.star_tail(2, k)
-        emp = sum(1 for d in degrees if d >= k + 1) / samples
         dev = abs(emp - p) / _binom_sigma(p, samples)
         worst = max(worst, dev)
         if dev > 3.0:
@@ -295,8 +299,8 @@ def suite_star_tail(samples: int = 100_000, seed: int = 2024):
     root_spec = oracles.StarProcessSpec(2, oracles.ROOT_VARIANT, max_time=200_001)
     rng2 = engine.PrngStream(seed + 1)
     n_first = 20_000
-    leaf_first = sum(1 for _ in range(n_first)
-                     if oracles.simulate_star(root_spec, rng2).stop_time != 1)
+    leaf_first = sum(oracles.simulate_star(root_spec, rng2).stop_time != 1
+                     for _ in range(n_first))
     p_leaf = leaf_first / n_first
     if abs(p_leaf - 1.0 / 3.0) > 3.0 * _binom_sigma(1.0 / 3.0, n_first):
         failures.append(f"root-variant first leaf-step frequency {p_leaf:.4f} "
@@ -381,18 +385,18 @@ def suite_leaf_fraction(s: int = 4, nodes: int = 100_000, replicas: int = 20,
     low = min(fractions)
     if low < 2.0 / 3.0:
         failures.append(f"replica leaf fraction {low:.4f} < 2/3")
-    gaps = [g for r in summaries for g in r.renewal_gaps]
+    gaps = Counter(g for r in summaries for g in r.renewal_gaps)
+    n = sum(gaps.values())
     if gaps:
-        n = len(gaps)
-        for k in range(0, 30):
-            emp = sum(1 for g in gaps if g >= 2 * k + 1) / n
+        tail = stats.empirical_ccdf(gaps, [2 * k + 1 for k in range(30)])
+        for k, (_, emp) in enumerate(tail):
             ref = oracles.t_ccdf(s, k)
             if emp < ref - 3.0 * _binom_sigma(ref, n):
                 failures.append(f"renewal gap CCDF below hitting-time tail "
                                 f"at k={k}: {emp:.4f} < {ref:.4f}")
     return failures, {"mean": mean, "min": low, "bound": bound,
                       "replicas": replicas, "nodes": nodes,
-                      "n_gaps": len(gaps)}
+                      "n_gaps": n}
 
 
 @suite("leaf-fraction-s2")
@@ -436,18 +440,15 @@ def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
     """
     failures = []
     summaries = run_cell(1, nodes, replicas, seed, jobs=jobs)
-    visits = [r.root_visits for r in summaries]
-    entries = [r.root_entries for r in summaries]
-    n = len(visits)
-    top = max(visits)
-    empirical = [(k, sum(1 for v in visits if v >= k) / n)
-                 for k in range(1, top + 2)]
+    n = len(summaries)
     rate = oracles.GEOMETRIC_RETURN_RATE
-    report = stats.dominance_check(empirical, lambda k: rate ** (k - 1), n)
-    entry_emp = [(k, sum(1 for v in entries if v >= k) / n)
-                 for k in range(1, max(entries) + 2)]
-    entry_report = stats.dominance_check(entry_emp, lambda k: rate ** (k - 1),
-                                         n)
+    visits = Counter(r.root_visits for r in summaries)
+    entries = Counter(r.root_entries for r in summaries)
+    top = max(visits)
+    report = stats.dominance_check(visits, range(1, top + 2),
+                                   lambda k: rate ** (k - 1))
+    entry_report = stats.dominance_check(entries, range(1, max(entries) + 2),
+                                         lambda k: rate ** (k - 1))
     if not entry_report.passed:
         failures.append(f"root-arrival CCDF above (2/3)^(k-1)+margin; worst "
                         f"violation {entry_report.worst_violation:.4f}")
@@ -496,34 +497,23 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
     summaries = run_cell(2, nodes, replicas, seed, jobs=jobs,
                          keep_bounce_stats=True)
     anchors = merge_counters([r.bounce_anchors for r in summaries])
-    tails = merge_counters([r.bounce_tails for r in summaries])
-    by_degree: dict[int, Counter] = {}
-    for (deg, run), c in tails.items():
-        by_degree.setdefault(deg, Counter())[run] += c
+    # returns[d]: histogram of the number of returns after a degree-d anchor
+    returns: dict[int, dict[int, int]] = defaultdict(dict)
+    for (d, k), c in merge_counters([r.bounce_tails
+                                     for r in summaries]).items():
+        returns[d][k] = c
     worst = 0.0
-    checked = 0
     for d, n_d in anchors.items():
-        margin = stats.dkw_margin(n_d)
-        runs = by_degree.get(d, Counter())
-        # suffix counts: hits_at_least[k] = number of anchors with >= k returns
-        top = min(max(runs, default=0), max_k)
-        tail_count = sum(c for run, c in runs.items() if run > top)
-        bound = oracles.bounce_bound_exact(d, 1)
-        step = Fraction(1)
-        for k in range(1, max_k + 1):
-            if k > 1:
-                step = Fraction(2 * (d + k - 1) - 1, 2 * (d + k - 1))
-                bound *= step
-            hits = tail_count + sum(c for run, c in runs.items()
-                                    if k <= run <= top)
-            freq = hits / n_d
-            limit = float(bound) + margin
-            worst = max(worst, freq - limit)
-            checked += 1
-            if freq > limit:
-                failures.append(f"d={d} k={k}: freq {freq:.4f} > bound "
-                                f"{limit:.4f} (n={n_d})")
-    return failures[:10], {"checked": checked, "worst_gap": worst,
+        hist = returns[d]
+        hist[0] = n_d - sum(hist.values())
+        bounds = oracles.bounce_bounds(d, max_k)
+        report = stats.dominance_check(hist, range(1, max_k + 1),
+                                       lambda k: bounds[k - 1])
+        worst = max(worst, report.worst_violation)
+        failures.extend(f"d={d} k={k}: freq {p:.4f} > bound {limit:.4f} "
+                        f"(n={n_d})" for k, p, limit in report.violations)
+    return failures[:10], {"checked": len(anchors) * max_k,
+                           "worst_gap": worst,
                            "degrees": len(anchors), "replicas": replicas,
                            "nodes": nodes}
 
@@ -617,8 +607,8 @@ def suite_depth_dichotomy(nodes: int = 10_000, replicas: int = 10,
 
 
 def verify(suite_name: str, **options) -> VerificationReport:
-    """Run one suite; an unknown suite or an option it does not take is a
-    ``UsageError``."""
+    """Run one suite; an unknown suite, an option it does not take or an
+    out-of-range cell option is a ``UsageError``."""
     if suite_name not in SUITES:
         raise UsageError(f"unknown suite {suite_name!r}; "
                          f"available: {sorted(SUITES)}")
@@ -627,6 +617,11 @@ def verify(suite_name: str, **options) -> VerificationReport:
     if unknown:
         raise UsageError(f"suite {suite_name!r} does not take {unknown}; "
                          f"it takes {accepted}")
+    _require_least(options, {"s": 2, "nodes": 2, "replicas": 1, "seed": 0,
+                             "jobs": 1, "samples": 1, "max_k": 1})
+    # both suites that take s compare it against the even-s oracles
+    if options.get("s", 2) % 2:
+        raise UsageError(f"s must be even, got {options['s']}")
     return VerificationReport([SUITES[suite_name](**options)])
 
 
@@ -711,8 +706,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     return obj

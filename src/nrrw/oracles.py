@@ -351,13 +351,22 @@ def bounce_bound_exact(d0: int, k: int) -> Fraction:
     return out
 
 
-def bounce_bound(d0: int, k: int) -> float:
-    return float(bounce_bound_exact(d0, k))
+def bounce_bounds(d0: int, kmax: int) -> list[float]:
+    """``float(bounce_bound_exact(d0, k))`` for k = 1..kmax, from one running
+    product: int / int is correctly rounded, so each value is the float
+    nearest the exact product."""
+    if d0 < 1:
+        raise ValueError("d0 must be >= 1")
+    num, den, out = 1, 1, []
+    for j in range(d0, d0 + kmax):
+        num, den = num * (2 * j - 1), den * 2 * j
+        out.append(num / den)
+    return out
 
 
 def bounce_envelope(d0: int, k: int) -> float:
     """The display envelopes: 2*sqrt(d0-1)/sqrt(d0+k-1) for d0 >= 2 and
-    1/sqrt(k) for d0 = 1. Looser than ``bounce_bound``."""
+    1/sqrt(k) for d0 = 1. Looser than ``bounce_bounds``."""
     if d0 < 1 or k < 1:
         raise ValueError("d0 and k must be >= 1")
     if d0 == 1:

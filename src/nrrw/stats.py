@@ -5,9 +5,11 @@ the analytic oracles."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -209,23 +211,23 @@ def log_grid(lo: int, hi: int, points: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Empirical distribution machinery
 
-def empirical_ccdf(counts: dict[int, int]) -> list[tuple[int, float]]:
+def empirical_ccdf(counts: dict[int, int], grid: Optional[Iterable[int]] = None
+                   ) -> list[tuple[int, float]]:
     """Exact empirical CCDF of a {value: count} histogram.
 
-    Returns (k, P(value >= k)) for k from the smallest value with mass to the
-    largest, on a unit grid.
+    Returns (k, P(value >= k)) for each k of ``grid``; by default for k from
+    the smallest value with mass to the largest, on a unit grid.
     """
-    items = {k: c for k, c in counts.items() if c > 0}
+    items = sorted((k, c) for k, c in counts.items() if c > 0)
     if not items:
         raise EmptyHistogramError("no mass in histogram")
-    total = sum(items.values())
-    lo, hi = min(items), max(items)
-    out = []
-    tail = total
-    for k in range(lo, hi + 1):
-        out.append((k, tail / total))
-        tail -= items.get(k, 0)
-    return out
+    values = [k for k, _ in items]
+    # at_least[i]: mass at values[i] and above; 0 past the largest value
+    at_least = list(accumulate(c for _, c in reversed(items)))[::-1] + [0]
+    total = at_least[0]
+    if grid is None:
+        grid = range(values[0], values[-1] + 1)
+    return [(k, at_least[bisect_left(values, k)] / total) for k in grid]
 
 
 def dkw_margin(n: int, alpha: float = 0.01) -> float:
@@ -240,22 +242,29 @@ def dkw_margin(n: int, alpha: float = 0.01) -> float:
 @dataclass
 class DominanceReport:
     margin: float
-    passed: bool
-    worst_violation: float  # largest excess over bound + margin, or 0.0
+    violations: list[tuple[int, float, float]]  # (k, p, limit) with p > limit
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    @property
+    def worst_violation(self) -> float:
+        """Largest excess of the empirical CCDF over bound + margin, or 0.0."""
+        return max((p - limit for _, p, limit in self.violations), default=0.0)
 
 
-def dominance_check(empirical: Sequence[tuple[int, float]],
-                    bound: Callable[[int], float], n_samples: int,
+def dominance_check(counts: dict[int, int], grid: Iterable[int],
+                    bound: Callable[[int], float],
                     alpha: float = 0.01) -> DominanceReport:
-    """Check that an empirical CCDF stays below an analytic bound: empirical
-    <= bound + ``dkw_margin(n_samples, alpha)`` at every (k, empirical)."""
-    margin = dkw_margin(n_samples, alpha)
-    passed, worst = True, 0.0
-    for k, p in empirical:
-        limit = bound(k) + margin
-        passed = passed and p <= limit
-        worst = max(worst, p - limit)
-    return DominanceReport(margin, passed, worst)
+    """Check that the empirical CCDF of a {value: count} histogram of n
+    samples stays below an analytic bound: P(value >= k) <= limit = bound(k)
+    + ``dkw_margin(n, alpha)`` at every k of ``grid``; the points above
+    their limit are the violations."""
+    margin = dkw_margin(sum(counts.values()), alpha)
+    return DominanceReport(margin, [
+        (k, p, limit) for k, p in empirical_ccdf(counts, grid)
+        if p > (limit := bound(k) + margin)])
 
 
 # ---------------------------------------------------------------------------

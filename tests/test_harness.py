@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrrw import cli, engine, harness
+from nrrw import cli, engine, harness, oracles, stats
 from nrrw.harness import (
     ExperimentSpec, ReplicaSummary, SuiteResult, UsageError,
     VerificationReport, check_invariants, mean_leaf_series, merge_counters,
@@ -144,6 +144,66 @@ class TestVerificationPlumbing:
         result = verify("bounce", nodes=400, replicas=2, max_k=4).suites[0]
         assert result.details["degrees"] > 0
         assert result.details["checked"] == 4 * result.details["degrees"]
+
+    @pytest.mark.parametrize("name, options, details", [
+        ("bounce", {"nodes": 3000, "replicas": 2, "seed": 5},
+         {"failures": [], "checked": 89700, "worst_gap": 0.0,
+          "degrees": 2990, "replicas": 2, "nodes": 3000}),
+        ("geometric-visits", {"nodes": 300, "replicas": 40, "seed": 5},
+         {"failures": [], "mean_last_visit": 0.03361204013377926,
+          "max_visits": 15, "margin": 0.25734989232919925,
+          "worst_violation": 0.07320566322635635, "entries_dominated": True,
+          "entries_worst_violation": 0.0, "replicas": 40, "nodes": 300}),
+        ("leaf-fraction", {"nodes": 2000, "replicas": 3, "seed": 5},
+         {"failures": [], "mean": 0.9483333333333334, "min": 0.929,
+          "bound": 0.76689260162904, "replicas": 3, "nodes": 2000,
+          "n_gaps": 304}),
+        ("star-tail", {"samples": 3000, "seed": 5},
+         {"failures": [], "worst_sigma": 1.5491933384829704,
+          "root_first_leaf_freq": 0.3343, "samples": 3000}),
+    ])
+    def test_suite_details_pinned(self, name, options, details):
+        # pinned before the suites' tails moved onto stats.empirical_ccdf
+        assert verify(name, **options).suites[0].details == details
+
+    def test_bounce_suite_reports_violations(self, monkeypatch):
+        monkeypatch.setattr(stats, "dkw_margin", lambda n, alpha=0.01: -0.05)
+        result = verify("bounce", nodes=3000, replicas=2, seed=5).suites[0]
+        assert not result.passed
+        assert result.details["failures"] == [
+            "d=4 k=1: freq 0.9429 > bound 0.8250 (n=35)",
+            "d=4 k=2: freq 0.8000 > bound 0.7375 (n=35)",
+            "d=10 k=11: freq 0.6400 > bound 0.6260 (n=25)",
+            "d=11 k=4: freq 0.8261 > bound 0.7982 (n=23)",
+            "d=11 k=5: freq 0.7826 > bound 0.7699 (n=23)",
+            "d=11 k=7: freq 0.7391 > bound 0.7209 (n=23)",
+            "d=11 k=8: freq 0.7391 > bound 0.6995 (n=23)",
+            "d=11 k=9: freq 0.7391 > bound 0.6798 (n=23)",
+            "d=11 k=10: freq 0.7391 > bound 0.6615 (n=23)",
+            "d=11 k=11: freq 0.6522 > bound 0.6446 (n=23)"]
+        assert result.details["worst_gap"] == 0.15687692827234712
+        assert result.details["checked"] == 89700
+
+    def test_leaf_fraction_reports_gap_tail_violations(self, monkeypatch):
+        tail = {2: 0.9, 9: 0.6, 29: 0.5}
+        monkeypatch.setattr(oracles, "t_ccdf", lambda s, k: tail.get(k, 0.0))
+        result = verify("leaf-fraction", nodes=2000, replicas=3,
+                        seed=5).suites[0]
+        assert result.details["failures"] == [
+            f"renewal gap CCDF below hitting-time tail at k={k}: {emp} < "
+            f"{tail[k]:.4f}" for k, emp in ((2, "0.6678"), (9, "0.4079"),
+                                            (29, "0.1645"))]
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("leaf-fraction", "replicas", 0), ("geometric-visits", "nodes", 1),
+        ("bounce", "nodes", 1), ("recurrence", "nodes", 1),
+        ("depth-dichotomy", "seed", -1), ("depth-dichotomy", "jobs", 0),
+        ("t-distribution", "s", 3), ("leaf-fraction", "s", 0),
+        ("star-tail", "samples", 0), ("bounce", "max_k", 0),
+    ])
+    def test_rejects_out_of_range_options(self, name, key, value):
+        with pytest.raises(UsageError, match=f"^{key} must be"):
+            verify(name, **{key: value})
 
     def test_rejects_options_the_suite_does_not_take(self):
         with pytest.raises(UsageError, match=r"\['s'\].*'nodes'"):
@@ -323,6 +383,56 @@ class TestCli:
             "--s", "2", "--nodes", "10", "--out", str(tmp_path)])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--s", "0", "--nodes", "5"], "step_parameter must be"),
+        (["simulate", "--s", "2", "--nodes", "5", "--seed", "-1"],
+         "seed must fit"),
+        (["export", "--what", "tree", "--format", "dot", "--s", "2",
+          "--nodes", "0"], "target_nodes must be"),
+        (["oracle", "t-pmf", "--s", "3"], "step parameter must be even"),
+        (["oracle", "t-ccdf", "--s", "0"], "step parameter must be even"),
+        (["oracle", "t-expectation", "--s", "5"], "step parameter must be"),
+        (["oracle", "star-tail", "--s", "1"], "step parameter must be even"),
+        (["oracle", "bounce-bound", "--d0", "0"], "d0 must be >= 1"),
+        (["verify", "--suite", "leaf-fraction", "--s", "3"], "s must be even"),
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, args, message):
+        if args[0] != "oracle" and args[0] != "verify":
+            args = args + ["--out", str(tmp_path)]
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert message in result.output
+        assert "k,p" not in result.output
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["simulate", "export", "verify"]),
+           st.sampled_from([("tree", "edgelist"), ("tree", "dot"),
+                            ("stats", "csv"), ("tree", "csv")]),
+           st.integers(-1, 4), st.integers(-1, 12), st.integers(-1, 3),
+           st.integers(-2, 3) | st.integers(2**64 - 2, 2**64 + 1),
+           st.integers(-1, 1))
+    def test_cli_exits_cleanly(self, command, export_as, s, nodes, replicas,
+                               seed, jobs):
+        # every run ends in exit 0, 1 or 2; a usage error (2) says so
+        with tempfile.TemporaryDirectory() as tmp:
+            if command == "verify":
+                args = ["verify", "--suite", "depth-dichotomy", "--nodes",
+                        nodes, "--replicas", replicas, "--seed", seed,
+                        "--jobs", jobs]
+            else:
+                args = [command, "--s", s, "--nodes", nodes, "--seed", seed,
+                        "--out", tmp]
+                if command == "export":
+                    args += ["--what", export_as[0], "--format", export_as[1]]
+            result = CliRunner(env={"NRRW_OUT": None}).invoke(
+                cli.main, [str(a) for a in args])
+        assert isinstance(result.exception, (SystemExit, type(None))), (
+            repr(result.exception))
+        assert result.exit_code in (0, 1, 2), result.output
+        if result.exit_code == 2:
+            assert "Usage:" in result.output
+
     def test_oracle_commands(self):
         runner = CliRunner()
         result = runner.invoke(cli.main, ["oracle", "t-pmf", "--s", "2",
@@ -364,6 +474,10 @@ class TestCli:
                                           "--jobs", "1"])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "report.txt").exists()
+        result = runner.invoke(cli.main, ["experiment", "--config", str(path),
+                                          "--jobs", "0"])
+        assert result.exit_code == 2
+        assert "jobs must be >= 1, got 0" in result.output
         path.write_text(json.dumps({"cells": [[2, 40]], "replicas": "2"}))
         result = runner.invoke(cli.main, ["experiment", "--config", str(path)])
         assert result.exit_code == 2

@@ -10,7 +10,7 @@ from nrrw import oracles
 from nrrw.engine import PrngStream
 from nrrw.oracles import (
     GEOMETRIC_RETURN_RATE, NON_ROOT, ROOT_VARIANT, LazyWalkSpec,
-    StarProcessSpec, bounce_bound, bounce_bound_exact, bounce_envelope,
+    StarProcessSpec, bounce_bound_exact, bounce_bounds, bounce_envelope,
     generalized_harmonic, lazy_walk_drift, lazy_walk_return_probability,
     leaf_fraction_lower_bound, simulate_lazy_walk, simulate_star, star_tail,
     star_tail_enumerated, star_tail_exact, t_ccdf, t_ccdf_exact,
@@ -201,7 +201,13 @@ class TestBounceBound:
         assert bounce_bound_exact(2, 1) == Fraction(3, 4)
         assert bounce_bound_exact(1, 1) == Fraction(1, 2)
         assert bounce_bound_exact(2, 2) == Fraction(3, 4) * Fraction(5, 6)
-        assert bounce_bound(3, 1) == pytest.approx(5.0 / 6.0)
+        assert bounce_bounds(3, 2) == [5 / 6, 35 / 48]
+        assert bounce_bounds(1, 0) == []
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 10, 99_999])
+    def test_bounds_round_the_exact_product(self, d0):
+        assert bounce_bounds(d0, 30) == [float(bounce_bound_exact(d0, k))
+                                         for k in range(1, 31)]
 
     def test_product_recursion(self):
         for d0 in (1, 2, 5):
@@ -212,8 +218,8 @@ class TestBounceBound:
 
     def test_envelope_dominates_bound(self):
         for d0 in (1, 2, 3, 10):
-            for k in range(1, 40):
-                assert bounce_bound(d0, k) <= bounce_envelope(d0, k) + 1e-12
+            for k, bound in enumerate(bounce_bounds(d0, 39), 1):
+                assert bound <= bounce_envelope(d0, k) + 1e-12
 
     def test_envelope_shapes(self):
         assert bounce_envelope(1, 9) == pytest.approx(1.0 / 3.0)
@@ -222,5 +228,7 @@ class TestBounceBound:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bounce_bound_exact(0, 1)
+        with pytest.raises(ValueError):
+            bounce_bounds(0, 30)
         with pytest.raises(ValueError):
             bounce_envelope(1, 0)

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nrrw.engine import ROOT, PrngStream, SimConfig, run, trajectory_lines
 from nrrw.harness import run_replica
@@ -260,6 +262,17 @@ class TestEmpiricalCcdf:
                  in zip(ccdf, ccdf[1:] + [(None, 0.0)])]
         assert {k: c for k, c in diffs if c} == counts
 
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+           st.lists(st.integers(-2, 15), max_size=10))
+    def test_grid_matches_direct_count(self, values, grid):
+        # the direct count over the samples is the reference, bit for bit
+        direct = [(k, sum(1 for v in values if v >= k) / len(values))
+                  for k in grid]
+        assert empirical_ccdf(Counter(values), grid) == direct
+        assert empirical_ccdf(Counter(values)) == [
+            (k, sum(1 for v in values if v >= k) / len(values))
+            for k in range(min(values), max(values) + 1)]
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyHistogramError):
             empirical_ccdf({})
@@ -269,17 +282,20 @@ class TestEmpiricalCcdf:
 
 class TestDominance:
     def test_trivial_pass_and_fail(self):
+        counts = {1: 50, 2: 30, 3: 20}  # 100 samples
         emp = [(1, 1.0), (2, 0.5), (3, 0.2)]
-        good = dominance_check(emp, lambda k: 1.0, n_samples=100)
+        good = dominance_check(counts, [1, 2, 3], lambda k: 1.0)
         assert good.passed
         assert good.worst_violation <= 0.0
-        bad = dominance_check(emp, lambda k: 0.0, n_samples=10 ** 8)
+        assert good.violations == []
+        bad = dominance_check({k: c * 10 ** 6 for k, c in counts.items()},
+                              [1, 2, 3], lambda k: 0.0)
         assert not bad.passed
+        assert bad.violations == [(k, p, bad.margin) for k, p in emp]
         assert bad.worst_violation == pytest.approx(1.0, abs=1e-3)
 
     def test_margin_formula(self):
-        rep = dominance_check([(1, 1.0)], lambda k: 1.0, n_samples=200,
-                              alpha=0.05)
+        rep = dominance_check({1: 200}, [1], lambda k: 1.0, alpha=0.05)
         assert rep.margin == pytest.approx(
             math.sqrt(math.log(2 / 0.05) / 400))
         assert dkw_margin(200, 0.05) == rep.margin
@@ -288,7 +304,7 @@ class TestDominance:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            dominance_check([], lambda k: 1.0, n_samples=10, alpha=2.0)
+            dominance_check({1: 10}, [1], lambda k: 1.0, alpha=2.0)
         with pytest.raises(ValueError):
             dkw_margin(10, alpha=0.0)
 
