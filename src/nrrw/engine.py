@@ -14,6 +14,7 @@ born at time 0).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,11 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     children...]`` elsewhere, so a step indexes that list with the draw
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
     to the same stream.
+
+    The cyclic garbage collector is off while the loop runs (and back on
+    after it only if the caller had it on): the loop allocates one list per
+    attached vertex, which would trigger collections, and makes no
+    reference cycles for them to free.
     """
     s, total = config.step_parameter, config.total_steps
     positions = np.empty(total, dtype=np.int32)
@@ -128,6 +134,8 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     until_attach = s
     done = 0
     chunk: list[int] = []
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         while done < total:
             size = min(_CHUNK, total - done)
@@ -150,6 +158,9 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ResourceExhausted(f"out of memory at clock {clock}",
                                 vertices_built=len(parent),
                                 clock=clock) from exc
+    finally:
+        if collecting:
+            gc.enable()
     return np.array(parent, dtype=np.int64), positions
 
 

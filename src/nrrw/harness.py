@@ -9,9 +9,10 @@ import json
 import math
 import os
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -492,19 +493,15 @@ def suite_recurrence(nodes: int = 100_000, replicas: int = 20,
 def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
                  max_k: int = 30, jobs: int = 1):
     """Pooled consecutive two-step-return frequencies against the exact
-    product bound, degree by degree."""
+    product bound, degree by degree: one ``stats.dominance_check`` for each
+    degree that ``bounce_suspects`` cannot rule out."""
     failures = []
     summaries = run_cell(2, nodes, replicas, seed, jobs=jobs,
                          keep_bounce_stats=True)
     anchors = merge_counters([r.bounce_anchors for r in summaries])
-    # returns[d]: histogram of the number of returns after a degree-d anchor
-    returns: dict[int, dict[int, int]] = defaultdict(dict)
-    for (d, k), c in merge_counters([r.bounce_tails
-                                     for r in summaries]).items():
-        returns[d][k] = c
     worst = 0.0
-    for d, n_d in anchors.items():
-        hist = returns[d]
+    for d, hist in bounce_suspects(summaries, anchors, max_k).items():
+        n_d = anchors[d]
         hist[0] = n_d - sum(hist.values())
         bounds = oracles.bounce_bounds(d, max_k)
         report = stats.dominance_check(hist, range(1, max_k + 1),
@@ -516,6 +513,62 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
                            "worst_gap": worst,
                            "degrees": len(anchors), "replicas": replicas,
                            "nodes": nodes}
+
+
+def bounce_suspects(summaries: Sequence[ReplicaSummary], anchors: Counter,
+                    max_k: int) -> dict[int, dict[int, int]]:
+    """The anchor degrees, in ``anchors`` order, whose return-count CCDF
+    might exceed the bounce bound plus the DKW margin at some k <= max_k,
+    each with its pooled histogram {returns: anchors} for returns >= 1,
+    capped at max_k (which leaves the CCDF on 1..max_k as it is).
+
+    Every other degree passes ``stats.dominance_check``: it has p(d, k) <=
+    floor(d, k) + margin(d) at every k, where p is the check's own
+    quotient of integers and the floor is ``oracles.bounce_bound_floor``,
+    below the bound, so p is also under the check's limit (rounded addition
+    is monotone). p(d, k) is constant
+    between the capped return counts present and 0 past the largest, and
+    the floor does not grow with k, so p is tested at each return count
+    present and 0 at k = max_k.
+    """
+    degree = np.fromiter(anchors, np.int64, len(anchors))
+    n = np.zeros(int(degree.max(initial=0)) + 1, np.int64)
+    n[degree] = np.fromiter(anchors.values(), np.int64, len(anchors))
+    margin = np.zeros(len(n))
+    margin[degree] = [stats.dkw_margin(m) for m in anchors.values()]
+    suspect = np.zeros(len(n), dtype=bool)
+    suspect[degree] = (oracles.bounce_bound_floor(degree, max_k)
+                       + margin[degree] < 0)
+
+    # one entry per replica and (degree, returns) key, by degree and then
+    # by capped returns, largest first
+    total = sum(len(r.bounce_tails) for r in summaries)
+    keys = np.fromiter(chain.from_iterable(chain.from_iterable(
+        r.bounce_tails for r in summaries)), np.int64, 2 * total)
+    returns = np.minimum(keys[1::2], max_k)
+    order = np.argsort(keys[0::2] * (int(returns.max(initial=0)) + 1)
+                       - returns)
+    degree, returns = keys[0::2][order], returns[order]
+    del keys
+    count = np.fromiter(chain.from_iterable(
+        r.bounce_tails.values() for r in summaries), np.int64, total)[order]
+    del order
+    # at_least[i]: anchors of degree[i] with returns[i] returns or more
+    # (all of them at the last of equal entries)
+    at_least = np.cumsum(count)
+    first = np.diff(degree, prepend=-1) != 0  # first entry of its degree
+    at_least -= np.maximum.accumulate(np.where(first, at_least - count, 0))
+    suspect[degree[at_least / n[degree] > oracles.bounce_bound_floor(
+        degree, returns) + margin[degree]]] = True
+
+    flagged = set(np.flatnonzero(suspect).tolist())
+    out = {}
+    for d in [d for d in anchors if d in flagged]:
+        lo, hi = np.searchsorted(degree, [d, d + 1]).tolist()
+        hist = out[d] = {}
+        for k, c in zip(returns[lo:hi].tolist(), count[lo:hi].tolist()):
+            hist[k] = hist.get(k, 0) + c
+    return out
 
 
 @suite("invariants")
@@ -629,9 +682,9 @@ def verify(suite_name: str, **options) -> VerificationReport:
 # Experiment driver
 
 def output_root(default: str) -> Path:
-    """The artifact directory, created if missing: ``NRRW_OUT`` if set,
-    else ``default``."""
-    path = Path(os.environ.get("NRRW_OUT", default))
+    """The artifact directory, created if missing: ``NRRW_OUT`` if set and
+    not empty, else ``default``."""
+    path = Path(os.environ.get("NRRW_OUT") or default)
     path.mkdir(parents=True, exist_ok=True)
     return path
 

@@ -340,21 +340,12 @@ GEOMETRIC_RETURN_RATE = 2.0 / 3.0  # f0 of the dominating walk: (1/6)/(1/4)
 # ---------------------------------------------------------------------------
 # Bounce-back bound
 
-def bounce_bound_exact(d0: int, k: int) -> Fraction:
-    """Exact product bound on the probability of k consecutive two-step
-    returns to a vertex of degree d0: prod_{j=d0}^{d0+k-1} (2j-1)/(2j)."""
-    if d0 < 1 or k < 1:
-        raise ValueError("d0 and k must be >= 1")
-    out = Fraction(1)
-    for j in range(d0, d0 + k):
-        out *= Fraction(2 * j - 1, 2 * j)
-    return out
-
-
 def bounce_bounds(d0: int, kmax: int) -> list[float]:
-    """``float(bounce_bound_exact(d0, k))`` for k = 1..kmax, from one running
-    product: int / int is correctly rounded, so each value is the float
-    nearest the exact product."""
+    """The product bound prod_{j=d0}^{d0+k-1} (2j-1)/(2j) on the
+    probability of k consecutive two-step returns to a vertex of degree d0,
+    for k = 1..kmax, from one running product in integer arithmetic:
+    int / int is correctly rounded, so each value is the float nearest the
+    exact product."""
     if d0 < 1:
         raise ValueError("d0 must be >= 1")
     num, den, out = 1, 1, []
@@ -362,6 +353,23 @@ def bounce_bounds(d0: int, kmax: int) -> list[float]:
         num, den = num * (2 * j - 1), den * 2 * j
         out.append(num / den)
     return out
+
+
+def bounce_bound_floor(d0: np.ndarray | int, k: np.ndarray | int
+                       ) -> np.ndarray:
+    """A float no larger than ``bounce_bounds(d0, k)[-1]``, elementwise over
+    arrays of degrees ``d0 >= 1`` and return counts ``k >= 1``.
+
+    ((2j-1)/(2j))^2 >= (4j-3)/(4j+1), since (2j-1)^2 (4j+1) exceeds
+    (2j)^2 (4j-3) by 1, and the right-hand side telescopes, so the product
+    is at least sqrt((4 d0 - 3) / (4 (d0 + k) - 3)), which it exceeds by
+    under 13% at d0 = 1, 1% at d0 = 2 and 1e-5 from d0 = 50. The few
+    roundings of the float evaluation stay far inside the 1e-9 slack, and
+    the result is non-increasing in k.
+    """
+    d0 = np.asarray(d0, dtype=np.float64)
+    ratio = (4.0 * d0 - 3.0) / (4.0 * (d0 + k) - 3.0)
+    return np.sqrt(ratio) * (1.0 - 1e-9)
 
 
 def bounce_envelope(d0: int, k: int) -> float:

@@ -1,6 +1,7 @@
 """Core engine: configuration, stepping rules, tree structure,
 determinism and exports."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrrw import engine
 from nrrw.engine import (
-    NO_PARENT, ROOT, ConfigError, PrngStream, SimConfig, dot_lines,
-    edge_list_lines, run, trajectory_lines,
+    NO_PARENT, ROOT, ConfigError, PrngStream, ResourceExhausted, SimConfig,
+    bit_stream, dot_lines, edge_list_lines, run, trajectory_lines,
 )
 from nrrw.stats import depths, first_children, walk_degrees
 
@@ -123,6 +125,36 @@ class TestRun:
         p2, pos2 = run(config)
         assert np.array_equal(p1, p2)
         assert np.array_equal(pos1, pos2)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_collector_off_in_the_loop_and_restored(self, monkeypatch,
+                                                    collecting, fails):
+        seen = []
+
+        class Probe:
+            def __init__(self, seed):
+                self.gen = bit_stream(seed)
+
+            def integers(self, *args, **kwargs):
+                seen.append(gc.isenabled())
+                if fails:
+                    raise MemoryError
+                return self.gen.integers(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "bit_stream", Probe)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(ResourceExhausted):
+                    run(SimConfig(2, 40_000, seed=3))
+            else:
+                run(SimConfig(2, 40_000, seed=3))
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)
 
     def test_seeds_decorrelate(self):
         p1, _ = run(SimConfig(2, 500, seed=0))

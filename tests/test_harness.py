@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from nrrw.harness import (
 )
 from nrrw.engine import SimConfig
 from nrrw.stats import log_grid
+
+import reference
 
 
 def summary_digest(summary: ReplicaSummary) -> str:
@@ -212,6 +215,75 @@ class TestVerificationPlumbing:
             verify("invariants", jobs=2)
 
 
+def bounce_summaries(seed: int, replicas: int = 3) -> list[ReplicaSummary]:
+    """Replicas with random bounce anchors and tails: each anchors a random
+    subset of degrees 1..40, in random order, and each anchor is followed
+    by a geometric number of returns that continues with probability
+    max(0, 1 - 1/(2cd)), c in [0.3, 3): under the bound's rate for c < 1,
+    over it for c > 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(replicas):
+        anchors, tails = {}, {}
+        for d in rng.permutation(40)[:rng.integers(1, 40)].tolist():
+            d += 1
+            anchors[d] = int(rng.integers(1, 60))
+            leave = min(1.0, 1.0 / (2.0 * rng.uniform(0.3, 3.0) * d))
+            runs = rng.geometric(leave, size=anchors[d]) - 1
+            for k in runs[runs > 0].tolist():
+                tails[d, k] = tails.get((d, k), 0) + 1
+        out.append(ReplicaSummary(seed=r, bounce_anchors=anchors,
+                                  bounce_tails=tails))
+    return out
+
+
+class TestBounceRuleOut:
+    """The bounce suite skips the degrees a numpy pass rules out; its details
+    must equal those of one dominance check on every degree."""
+
+    def check(self, monkeypatch, summaries, max_k, margin=None):
+        if margin is not None:
+            monkeypatch.setattr(stats, "dkw_margin",
+                                lambda n, alpha=0.01: margin)
+        monkeypatch.setattr(harness, "run_cell",
+                            lambda *args, **kwargs: summaries)
+        details = verify("bounce", max_k=max_k).suites[0].details
+        expected = reference.bounce_check(summaries, max_k)
+        assert {k: details[k] for k in expected} == expected
+        return details
+
+    @pytest.mark.parametrize("margin", [None, 0.0, -0.05, -0.6])
+    @pytest.mark.parametrize("max_k", [1, 5, 30])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_check_on_every_degree(self, monkeypatch, seed, max_k,
+                                             margin):
+        summaries = bounce_summaries(seed)
+        self.check(monkeypatch, summaries, max_k, margin)
+        anchors = merge_counters([r.bounce_anchors for r in summaries])
+        suspects = harness.bounce_suspects(summaries, anchors, max_k)
+        for d, (_, report) in reference.bounce_reports(summaries,
+                                                       max_k).items():
+            assert d in suspects or report.passed
+
+    def test_edge_cases(self, monkeypatch):
+        # d=1: 2 of 4 anchors return once, so p(1) = 1/2 = bound + margin,
+        # a tie; d=2: both anchors return more than max_k times; d=3: none
+        # returns
+        tie = ReplicaSummary(seed=0, bounce_anchors={1: 4, 2: 2, 3: 2},
+                             bounce_tails={(1, 1): 2, (2, 40): 2})
+        assert self.check(monkeypatch, [tie], 3, margin=0.0)["failures"] == [
+            "d=2 k=1: freq 1.0000 > bound 0.7500 (n=2)",
+            "d=2 k=2: freq 1.0000 > bound 0.6250 (n=2)",
+            "d=2 k=3: freq 1.0000 > bound 0.5469 (n=2)"]
+        tie.bounce_tails[1, 1] = 3
+        assert self.check(monkeypatch, [tie], 3, margin=0.0)["failures"][0] \
+            == "d=1 k=1: freq 0.7500 > bound 0.5000 (n=4)"
+        # with a negative margin p = 0 fails where the bound is under -margin
+        details = self.check(monkeypatch, [tie], 3, margin=-0.7)
+        assert details["failures"][-1] == (
+            "d=3 k=3: freq 0.0000 > bound -0.0437 (n=2)")
+
+
 class TestExperimentSpec:
     def test_from_json(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -337,6 +409,15 @@ class TestCli:
         assert edges[0] == "# nrrw s=2 n=50 seed=3"
         assert edges[1] == "0 0"
         assert (out / "trajectory.csv").exists()
+
+    def test_simulate_treats_an_empty_nrrw_out_as_unset(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner(env={"NRRW_OUT": ""}).invoke(cli.main, [
+            "simulate", "--s", "2", "--nodes", "20", "--out", "some/dir"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "some" / "dir" / "edges.txt").exists()
+        assert not (tmp_path / "edges.txt").exists()
 
     def test_simulate_warns_on_odd_s(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NRRW_OUT", raising=False)

@@ -4,19 +4,22 @@ between independent evaluation routes."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nrrw import oracles
 from nrrw.engine import PrngStream
 from nrrw.oracles import (
     GEOMETRIC_RETURN_RATE, NON_ROOT, ROOT_VARIANT, LazyWalkSpec,
-    StarProcessSpec, bounce_bound_exact, bounce_bounds, bounce_envelope,
+    StarProcessSpec, bounce_bound_floor, bounce_bounds, bounce_envelope,
     generalized_harmonic, lazy_walk_drift, lazy_walk_return_probability,
     leaf_fraction_lower_bound, simulate_lazy_walk, simulate_star, star_tail,
     star_tail_enumerated, star_tail_exact, t_ccdf, t_ccdf_exact,
     t_expectation, t_mean_partial_sum, t_mean_partial_sum_exact, t_pmf,
     t_pmf_exact, zeta,
 )
+
+from reference import bounce_bound_exact
 
 
 class TestHittingTimePmf:
@@ -215,6 +218,24 @@ class TestBounceBound:
                 step = Fraction(2 * (d0 + k) - 1, 2 * (d0 + k))
                 assert (bounce_bound_exact(d0, k + 1)
                         == bounce_bound_exact(d0, k) * step)
+
+    @pytest.mark.parametrize("d0", [1, 2, 3, 50, 99_999, 2**40 + 7])
+    def test_floor_is_under_the_bound(self, d0):
+        k = np.arange(1, 201)
+        floor = bounce_bound_floor(d0, k)
+        bounds = bounce_bounds(d0, 200)
+        assert all(f <= b for f, b in zip(floor.tolist(), bounds))
+        assert all(Fraction(f) <= bounce_bound_exact(d0, int(j))
+                   for f, j in zip(floor[:30].tolist(), k[:30]))
+        assert np.all(np.diff(floor) <= 0)
+        excess = np.array(bounds) / floor - 1.0
+        assert excess.max() < (0.13 if d0 == 1 else 0.01 if d0 < 50 else 1e-5)
+
+    def test_floor_takes_arrays_of_degrees(self):
+        d0 = np.array([1, 7, 7, 300])
+        k = np.array([4, 1, 30, 2])
+        assert bounce_bound_floor(d0, k).tolist() == [
+            float(bounce_bound_floor(d, j)) for d, j in zip(d0, k)]
 
     def test_envelope_dominates_bound(self):
         for d0 in (1, 2, 3, 10):
