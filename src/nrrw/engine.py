@@ -102,10 +102,6 @@ class PrngStream:
         self._pos = pos + 1
         return buf[pos] % n
 
-    def uniform(self) -> float:
-        """A float in [0, 1); drawn from the same buffered stream."""
-        return self.randbelow(1 << 53) / (1 << 53)
-
 
 def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Execute a full run: ``s * (N - 1)`` steps, attaching vertices 1..N-1.

@@ -130,7 +130,8 @@ class ReplicaSummary:
     steps_per_second: float = 0.0
     degree_counts: dict[int, int] = field(default_factory=dict)
     leaf_series: list[tuple[int, int]] = field(default_factory=list)
-    checkpoints: list[dict] = field(default_factory=list)
+    root_visits_at: list[int] = field(default_factory=list)
+    parity_changes_at: list[int] = field(default_factory=list)
     renewal_gaps: list[int] = field(default_factory=list)
     bounce_anchors: dict[int, int] = field(default_factory=dict)
     bounce_tails: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -168,7 +169,8 @@ def run_replica(s: int, nodes: int, seed: int,
         steps_per_second=config.total_steps / elapsed,
         degree_counts=res.degree_counts,
         leaf_series=res.leaf_series,
-        checkpoints=res.checkpoints,
+        root_visits_at=res.root_visits_at,
+        parity_changes_at=res.parity_changes_at,
         renewal_gaps=res.renewal_gaps,
         bounce_anchors=bounce.anchors if keep_bounce_stats else {},
         bounce_tails=bounce.tails if keep_bounce_stats else {},
@@ -223,6 +225,7 @@ class SuiteResult:
     passed: bool
     runtime_s: float
     details: dict = field(default_factory=dict)
+    failed_replicas: int = field(default=0, repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -249,18 +252,41 @@ class VerificationReport:
 SUITES: dict[str, Callable[..., SuiteResult]] = {}
 
 
+class ReplicasFailed(RuntimeError):
+    def __init__(self, failed: list[ReplicaSummary]):
+        super().__init__(f"{len(failed)} replicas failed")
+        self.failed = failed
+
+
+def suite_cell(*args, **kwargs) -> list[ReplicaSummary]:
+    """``run_cell`` for a suite body: a failed replica raises
+    ``ReplicasFailed``, which ends the suite as a failure."""
+    summaries = run_cell(*args, **kwargs)
+    failed = [r for r in summaries if r.status != "ok"]
+    if failed:
+        raise ReplicasFailed(failed)
+    return summaries
+
+
 def suite(name: str):
     """Register a suite under ``name``. The body takes the suite's options
     and returns ``(failures, details)``; the registered function times it and
     returns a ``SuiteResult`` that passes iff there are no failures, with
-    details ``{"failures": failures, **details}``."""
+    details ``{"failures": failures, **details}``. A body that runs into
+    failed replicas fails with one line per replica and no other details."""
     def register(body):
         @functools.wraps(body)
         def run_suite(**options) -> SuiteResult:
             t0 = time.perf_counter()
-            failures, details = body(**options)
+            try:
+                failures, details = body(**options)
+                failed = []
+            except ReplicasFailed as exc:
+                failed, details = exc.failed, {}
+                failures = [f"replica seed={r.seed}: {r.status}"
+                            for r in failed]
             return SuiteResult(name, not failures, time.perf_counter() - t0,
-                               {"failures": failures, **details})
+                               {"failures": failures, **details}, len(failed))
         SUITES[name] = run_suite
         return run_suite
     return register
@@ -377,7 +403,7 @@ def suite_leaf_fraction(s: int = 4, nodes: int = 100_000, replicas: int = 20,
     """Replica-mean leaf fraction against the renewal lower bound, plus the
     stochastic domination of renewal gaps by the hitting-time tail."""
     failures = []
-    summaries = run_cell(s, nodes, replicas, seed, jobs=jobs)
+    summaries = suite_cell(s, nodes, replicas, seed, jobs=jobs)
     fractions = [r.leaf_count / r.vertex_count for r in summaries]
     mean = sum(fractions) / len(fractions)
     bound = oracles.leaf_fraction_lower_bound(s)
@@ -410,7 +436,7 @@ def suite_leaf_fraction_s2(nodes: int = 1_000_000, replicas: int = 20,
     mean increments are comparable to the replica-mean noise at any replica
     count that fits the runtime budget, so occasional tiny dips fail it."""
     failures = []
-    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs)
+    summaries = suite_cell(2, nodes, replicas, seed, jobs=jobs)
     series = mean_leaf_series(summaries)
     fracs = [(n, leaves / n) for n, leaves in series]
     for (n1, f1), (n2, f2) in zip(fracs, fracs[1:]):
@@ -440,7 +466,7 @@ def suite_geometric_visits(nodes: int = 10_000, replicas: int = 1000,
     1/2 at t=3, so P(steps at root >= 2) >= 5/6 > 2/3 for every N >= 4.
     """
     failures = []
-    summaries = run_cell(1, nodes, replicas, seed, jobs=jobs)
+    summaries = suite_cell(1, nodes, replicas, seed, jobs=jobs)
     n = len(summaries)
     rate = oracles.GEOMETRIC_RETURN_RATE
     visits = Counter(r.root_visits for r in summaries)
@@ -473,18 +499,14 @@ def suite_recurrence(nodes: int = 100_000, replicas: int = 20,
     failures = []
     details = {}
     for idx, s in enumerate((2, 4)):
-        summaries = run_cell(s, nodes, replicas, seed, cell_index=idx,
-                             jobs=jobs)
+        summaries = suite_cell(s, nodes, replicas, seed, cell_index=idx,
+                               jobs=jobs)
         for r in summaries:
-            cps = r.checkpoints
-            j_root = [cp["visits"][ROOT] for cp in cps]
-            parity = [cp["parity_changes"] for cp in cps]
-            if any(b <= a for a, b in zip(j_root, j_root[1:])):
-                failures.append(f"s={s} seed={r.seed}: J_root not strictly "
-                                f"increasing: {j_root}")
-            if any(b <= a for a, b in zip(parity, parity[1:])):
-                failures.append(f"s={s} seed={r.seed}: parity changes not "
-                                f"strictly increasing: {parity}")
+            for label, counts in (("J_root", r.root_visits_at),
+                                  ("parity changes", r.parity_changes_at)):
+                if any(b <= a for a, b in zip(counts, counts[1:])):
+                    failures.append(f"s={s} seed={r.seed}: {label} not "
+                                    f"strictly increasing: {counts}")
         details[f"s{s}_root_visits_last"] = [r.root_visits for r in summaries]
     return failures, {**details, "replicas": replicas, "nodes": nodes}
 
@@ -496,8 +518,8 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
     product bound, degree by degree: one ``stats.dominance_check`` for each
     degree that ``bounce_suspects`` cannot rule out."""
     failures = []
-    summaries = run_cell(2, nodes, replicas, seed, jobs=jobs,
-                         keep_bounce_stats=True)
+    summaries = suite_cell(2, nodes, replicas, seed, jobs=jobs,
+                           keep_bounce_stats=True)
     anchors = merge_counters([r.bounce_anchors for r in summaries])
     worst = 0.0
     for d, hist in bounce_suspects(summaries, anchors, max_k).items():
@@ -648,8 +670,8 @@ def suite_depth_dichotomy(nodes: int = 10_000, replicas: int = 10,
     """Qualitative transient-vs-recurrent shape split: s=1 trees run much
     deeper than s=2 trees at equal size."""
     failures = []
-    deep = run_cell(1, nodes, replicas, seed, cell_index=0, jobs=jobs)
-    flat = run_cell(2, nodes, replicas, seed, cell_index=1, jobs=jobs)
+    deep = suite_cell(1, nodes, replicas, seed, cell_index=0, jobs=jobs)
+    flat = suite_cell(2, nodes, replicas, seed, cell_index=1, jobs=jobs)
     mean_deep = sum(r.max_depth for r in deep) / len(deep)
     mean_flat = sum(r.max_depth for r in flat) / len(flat)
     ratio = mean_deep / mean_flat
@@ -675,7 +697,8 @@ def verify(suite_name: str, **options) -> VerificationReport:
     # both suites that take s compare it against the even-s oracles
     if options.get("s", 2) % 2:
         raise UsageError(f"s must be even, got {options['s']}")
-    return VerificationReport([SUITES[suite_name](**options)])
+    result = SUITES[suite_name](**options)
+    return VerificationReport([result], result.failed_replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +765,8 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
         SUITES[name](**({"jobs": spec.jobs} if "jobs" in
                         inspect.signature(SUITES[name]).parameters else {}))
         for name in spec.checks]
-    report = VerificationReport(suite_results, failed_replicas)
+    report = VerificationReport(suite_results, failed_replicas + sum(
+        r.failed_replicas for r in suite_results))
     payload = {"cells": cell_reports,
                "suites": [{"name": r.name, "passed": r.passed,
                            "runtime_s": round(r.runtime_s, 2),

@@ -1,9 +1,9 @@
-"""Closed-form reference results and small auxiliary processes.
+"""Closed-form reference results and the growing star process.
 
 Everything here is either an exact rational formula, a provably bounded
-numerical evaluation, or a direct simulation of one of the two toy processes
-(the growing star and the biased lazy walk) used as ground truth by the
-verification suites. All functions are pure apart from an explicit rng.
+numerical evaluation, or a direct simulation of the growing star, used as
+ground truth by the verification suites. All functions are pure apart from
+an explicit rng.
 """
 
 from __future__ import annotations
@@ -126,15 +126,6 @@ def t_mean_partial_sum(s: int, blocks: int) -> float:
     harmonic = generalized_harmonic(blocks, a)
     ccdf_partial = 1.0 + harmonic - float(blocks + 1) ** (1 - a)
     return 2.0 * ccdf_partial - 1.0 - (2 * big_k - 1) * ccdf_boundary
-
-
-def t_mean_partial_sum_exact(s: int, blocks: int) -> Fraction:
-    """Rational term-by-term evaluation of the same partial sum (slow)."""
-    _require_even(s)
-    total = Fraction(0)
-    for k in range(blocks * (s // 2)):
-        total += (2 * k + 1) * t_pmf_exact(s, k)
-    return total
 
 
 def leaf_fraction_lower_bound(s: int) -> float:
@@ -264,77 +255,12 @@ def simulate_star(spec: StarProcessSpec, rng: PrngStream) -> StarRunResult:
 
 
 # ---------------------------------------------------------------------------
-# Biased lazy walk on 2Z>=0
+# Biased lazy walk on 2Z>=0 (up 2 with probability 1/4, down 2 with
+# probability 1/6): its return probability f0 is the gambler's-ruin ratio
+# (1/6)/(1/4). The walk and a first-step-analysis solve of f0 are the
+# cross-checks in tests/reference.py.
 
-@dataclass(frozen=True)
-class LazyWalkSpec:
-    """Homogeneous lazy walk on {0, 2, 4, ...}: up 2 with probability 1/4,
-    down 2 with probability 1/6 (0 at the origin), stay otherwise."""
-
-    up_probability: float = 0.25
-    down_probability: float = 1.0 / 6.0
-
-    def __post_init__(self):
-        if self.up_probability + self.down_probability > 1.0:
-            raise ValueError("up + down probabilities exceed 1")
-
-
-def simulate_lazy_walk(spec: LazyWalkSpec, horizon: int, rng: PrngStream) -> int:
-    """Number of returns to the origin (down-moves into 0) within ``horizon``
-    steps, starting at the origin."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    up = spec.up_probability
-    down = spec.down_probability
-    state = 0
-    returns = 0
-    for _ in range(horizon):
-        u = rng.uniform()
-        if u < up:
-            state += 2
-        elif state > 0 and u < up + down:
-            state -= 2
-            if state == 0:
-                returns += 1
-    return returns
-
-
-def lazy_walk_return_probability(spec: LazyWalkSpec = LazyWalkSpec(),
-                                 n_states: int = 101) -> float:
-    """P(the walk started one level above the origin ever hits the origin),
-    solved by first-step analysis on a truncated chain.
-
-    States 0..n_states-1 index levels 0, 2, ...; level 0 absorbs with value 1
-    and the far boundary absorbs with value 0 (truncation error decays
-    geometrically in ``n_states``). This equals the success probability f0 of
-    a single return excursion; the spec-level value 2/3 comes from the
-    embedded-chain gambler's-ruin ratio and is cross-checked against this
-    solve in the tests.
-    """
-    p = spec.up_probability
-    q = spec.down_probability
-    n = n_states
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    a[0, 0] = 1.0
-    b[0] = 1.0
-    a[n - 1, n - 1] = 1.0
-    b[n - 1] = 0.0
-    for i in range(1, n - 1):
-        # h_i = p h_{i+1} + q h_{i-1} + (1-p-q) h_i
-        a[i, i] = p + q
-        a[i, i + 1] = -p
-        a[i, i - 1] = -q
-    h = np.linalg.solve(a, b)
-    return float(h[1])
-
-
-def lazy_walk_drift(spec: LazyWalkSpec = LazyWalkSpec()) -> float:
-    """Mean displacement per step away from the origin (bulk states)."""
-    return 2.0 * (spec.up_probability - spec.down_probability)
-
-
-GEOMETRIC_RETURN_RATE = 2.0 / 3.0  # f0 of the dominating walk: (1/6)/(1/4)
+GEOMETRIC_RETURN_RATE = 2.0 / 3.0
 
 
 # ---------------------------------------------------------------------------

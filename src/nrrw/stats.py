@@ -20,10 +20,6 @@ class EmptyHistogramError(ValueError):
     pass
 
 
-# Checkpoints record the visit counts of the first PROBE_VERTICES vertices.
-PROBE_VERTICES = 10
-
-
 @dataclass
 class Bounce:
     """Consecutive two-step returns, anchored at even times t0 >= s.
@@ -55,7 +51,8 @@ class RunStats:
     parity_changes: int
     degree_counts: dict[int, int]
     leaf_series: list[tuple[int, int]]
-    checkpoints: list[dict]
+    root_visits_at: list[int]
+    parity_changes_at: list[int]
     renewal_gaps: list[int]
 
     @cached_property
@@ -69,15 +66,20 @@ def collect_run(config: SimConfig,
                 checkpoint_grid: Optional[Sequence[int]] = None) -> RunStats:
     """Run a simulation and derive its statistics.
 
-    ``snapshot_grid`` and ``checkpoint_grid`` are vertex counts at which the
-    leaf count and the checkpoint record are taken; points above the target
-    size are skipped. Bounce statistics are derived on first access.
+    ``snapshot_grid`` and ``checkpoint_grid`` are vertex counts ``g``: the
+    leaf count is taken when the tree has ``g`` vertices, and the root
+    visits and self-loop traversals over the first s*(g-1) steps, after
+    which vertex ``g - 1`` attaches. Points above the target size are
+    skipped. Bounce statistics are derived on first access.
     """
     parent, positions = run(config)
     s, n = config.step_parameter, config.target_nodes
     at_root = positions == ROOT
     loops = at_root & np.concatenate(([True], at_root[:-1]))
     root_times = np.flatnonzero(at_root)
+    loop_times = np.flatnonzero(loops)
+    clocks = [s * (max(g, 1) - 1) for g in sorted(set(checkpoint_grid or []))
+              if g <= n]
     neutral = renewals(parent)
 
     def leaves(m: int) -> int:  # among vertices 0 .. m - 1: newcomers less
@@ -89,13 +91,14 @@ def collect_run(config: SimConfig,
         leaf_count=leaves(n),
         max_depth=max(depths(parent)),
         root_visits=len(root_times),
-        root_entries=len(root_times) - int(loops.sum()),
+        root_entries=len(root_times) - len(loop_times),
         root_last_visit=int(root_times[-1]) + 1 if len(root_times) else 0,
-        parity_changes=int(loops.sum()),
+        parity_changes=len(loop_times),
         degree_counts=degree_counts(parent),
         leaf_series=[(g, leaves(max(g, 1)))
                      for g in sorted(set(snapshot_grid or [])) if g <= n],
-        checkpoints=checkpoints(s, positions, loops, checkpoint_grid or [], n),
+        root_visits_at=np.searchsorted(root_times, clocks).tolist(),
+        parity_changes_at=np.searchsorted(loop_times, clocks).tolist(),
         renewal_gaps=(s * np.diff(neutral)).tolist(),
     )
 
@@ -140,26 +143,6 @@ def renewals(parent: np.ndarray) -> np.ndarray:
     labels = np.arange(1, len(parent))
     par = parent[1:]
     return labels[(par != ROOT) & (first_children(parent)[par] == labels)]
-
-
-def checkpoints(s: int, positions: np.ndarray, loops: np.ndarray,
-                grid: Sequence[int], n: int) -> list[dict]:
-    """Clock, first probe vertices' visits and self-loop count at the moment
-    the tree reaches each grid size (vertex ``g - 1`` attaches at s*(g-1))."""
-    probed = np.flatnonzero(positions < PROBE_VERTICES)
-    probe_pos = positions[probed]
-    loop_times = np.flatnonzero(loops)
-    out = []
-    for g in sorted(set(grid)):
-        if g > n:
-            break
-        clock = s * (max(g, 1) - 1)
-        seen = probe_pos[:np.searchsorted(probed, clock)]
-        visits = np.bincount(seen, minlength=PROBE_VERTICES)
-        out.append({"n": g, "clock": clock,
-                    "visits": visits[:min(max(g, 1), PROBE_VERTICES)].tolist(),
-                    "parity_changes": int(np.searchsorted(loop_times, clock))})
-    return out
 
 
 def bounce_statistics(s: int, parent: np.ndarray,

@@ -1,10 +1,136 @@
-"""Slow, exact reference computations that the fast code in ``src/`` is
-tested against."""
+"""Reference computations that the code in ``src/`` is tested against:
+slow exact evaluations, and the biased lazy walk behind
+``oracles.GEOMETRIC_RETURN_RATE``."""
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from nrrw import oracles, stats
+from nrrw.engine import PrngStream, bit_stream
+
+_UNIT = 1 << 53
+_BLOCK_DRAWS = 1 << 21
+
+
+def uniform(rng: PrngStream) -> float:
+    """A float in [0, 1) from the next draw of ``rng``."""
+    return rng.randbelow(_UNIT) / _UNIT
+
+
+def t_mean_partial_sum_exact(s: int, blocks: int) -> Fraction:
+    """Rational term-by-term evaluation of ``oracles.t_mean_partial_sum``
+    (slow)."""
+    total = Fraction(0)
+    for k in range(blocks * (s // 2)):
+        total += (2 * k + 1) * oracles.t_pmf_exact(s, k)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Biased lazy walk on 2Z>=0, the source of oracles.GEOMETRIC_RETURN_RATE
+
+@dataclass(frozen=True)
+class LazyWalkSpec:
+    """Homogeneous lazy walk on {0, 2, 4, ...}: up 2 with probability 1/4,
+    down 2 with probability 1/6 (0 at the origin), stay otherwise."""
+
+    up_probability: float = 0.25
+    down_probability: float = 1.0 / 6.0
+
+    def __post_init__(self):
+        if self.up_probability + self.down_probability > 1.0:
+            raise ValueError("up + down probabilities exceed 1")
+
+
+def simulate_lazy_walk(spec: LazyWalkSpec, horizon: int, rng: PrngStream) -> int:
+    """Number of returns to the origin (down-moves into 0) within ``horizon``
+    steps, starting at the origin."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    up = spec.up_probability
+    down = spec.down_probability
+    state = 0
+    returns = 0
+    for _ in range(horizon):
+        u = uniform(rng)
+        if u < up:
+            state += 2
+        elif state > 0 and u < up + down:
+            state -= 2
+            if state == 0:
+                returns += 1
+    return returns
+
+
+def lazy_walk_returns(spec: LazyWalkSpec, horizon: int, walks: int,
+                      seed: int) -> np.ndarray:
+    """``simulate_lazy_walk`` for ``walks`` walks in a row on
+    ``PrngStream(seed)``, stepped together with numpy: the same draws give
+    the same counts. Walks go in blocks of about ``_BLOCK_DRAWS`` draws
+    (16 MB)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    up = spec.up_probability
+    down = spec.down_probability
+    gen = bit_stream(seed)
+    block = max(1, _BLOCK_DRAWS // horizon)
+    out = []
+    for done in range(0, walks, block):
+        size = min(block, walks - done)
+        # PrngStream's 62-bit draws, one row per walk, then one row per step
+        draws = gen.integers(0, 1 << 62, size=(size, horizon))
+        u = np.ascontiguousarray((draws % _UNIT).T) / _UNIT
+        state = np.zeros(size, dtype=np.int64)
+        returns = np.zeros(size, dtype=np.int64)
+        for row in u:
+            rise = row < up
+            fall = ~rise & (state > 0) & (row < up + down)
+            state += 2 * (rise.astype(np.int64) - fall)
+            returns += fall & (state == 0)
+        out.append(returns)
+    return np.concatenate(out)
+
+
+def lazy_walk_return_probability(spec: LazyWalkSpec = LazyWalkSpec(),
+                                 n_states: int = 101) -> float:
+    """P(the walk started one level above the origin ever hits the origin),
+    solved by first-step analysis on a truncated chain.
+
+    States 0..n_states-1 index levels 0, 2, ...; level 0 absorbs with value 1
+    and the far boundary absorbs with value 0 (truncation error decays
+    geometrically in ``n_states``). This equals the success probability f0 of
+    a single return excursion; the value 2/3 of
+    ``oracles.GEOMETRIC_RETURN_RATE`` comes from the embedded-chain
+    gambler's-ruin ratio and is cross-checked against this solve.
+    """
+    p = spec.up_probability
+    q = spec.down_probability
+    n = n_states
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    a[0, 0] = 1.0
+    b[0] = 1.0
+    a[n - 1, n - 1] = 1.0
+    b[n - 1] = 0.0
+    for i in range(1, n - 1):
+        # h_i = p h_{i+1} + q h_{i-1} + (1-p-q) h_i
+        a[i, i] = p + q
+        a[i, i + 1] = -p
+        a[i, i - 1] = -q
+    h = np.linalg.solve(a, b)
+    return float(h[1])
+
+
+def lazy_walk_drift(spec: LazyWalkSpec = LazyWalkSpec()) -> float:
+    """Mean displacement per step away from the origin (bulk states)."""
+    return 2.0 * (spec.up_probability - spec.down_probability)
+
+
+# ---------------------------------------------------------------------------
+# Bounce-back bound
 
 
 def bounce_bound_exact(d0: int, k: int) -> Fraction:

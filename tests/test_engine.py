@@ -16,6 +16,8 @@ from nrrw.engine import (
 )
 from nrrw.stats import depths, first_children, walk_degrees
 
+from reference import uniform
+
 
 class TestSimConfig:
     def test_total_steps(self):
@@ -55,7 +57,7 @@ class TestPrngStream:
     def test_uniform_in_unit_interval(self):
         rng = PrngStream(7)
         for _ in range(100):
-            u = rng.uniform()
+            u = uniform(rng)
             assert 0.0 <= u < 1.0
 
     def test_survives_buffer_refill(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import tempfile
@@ -100,14 +101,17 @@ class TestReplicaRuns:
         assert [r.leaf_count for r in a] == [r.leaf_count for r in b]
 
     def test_summary_pinned(self):
-        # pinned when the statistics were streamed per step; any change to
-        # the random stream or to a statistic's definition changes it
+        # pinned when the statistics were streamed per step, and re-pinned
+        # when the checkpoint dicts became the root_visits_at and
+        # parity_changes_at lists (the old summary reshaped hashes the
+        # same); any change to the random stream or to a statistic's
+        # definition changes it
         summary = run_replica(2, 2000, 7, log_grid(100, 2000, 20),
                               log_grid(10, 2000, 10), keep_bounce_runs=True,
                               keep_bounce_stats=True)
         assert summary.bounce_runs and summary.bounce_tails
         assert summary_digest(summary) == (
-            "6dc481e7b37f6ff4b4296b6a2f1503df6f2ea2235ac0f312d6c5f818fb99d28e")
+            "38f0a28fa6bbd0a3b673124ce602655f3dedad807d7110fad2700ada8664797e")
 
     def test_merge_counters(self):
         merged = merge_counters([{1: 2, 3: 1}, {1: 1}])
@@ -207,6 +211,23 @@ class TestVerificationPlumbing:
     def test_rejects_out_of_range_options(self, name, key, value):
         with pytest.raises(UsageError, match=f"^{key} must be"):
             verify(name, **{key: value})
+
+    @pytest.mark.parametrize("name", [
+        name for name, run_suite in harness.SUITES.items()
+        if "jobs" in inspect.signature(run_suite).parameters])
+    def test_failed_replicas_fail_the_suite(self, name, monkeypatch):
+        def exhausted(config, *grids):
+            raise engine.ResourceExhausted("out of memory at clock 0", 1, 0)
+
+        monkeypatch.setattr(harness, "collect_run", exhausted)
+        report = verify(name, nodes=200, replicas=3, seed=5, jobs=1)
+        assert report.suites[0].details == {"failures": [
+            f"replica seed={replica_seed(5, 0, r)}: failed(out of memory at "
+            "clock 0)" for r in range(3)]}
+        assert not report.suites[0].passed
+        assert report.failed_replicas == 3
+        assert report.lines()[-2:] == ["[FAIL] 3 replicas failed",
+                                       "[FAIL] some suites"]
 
     def test_rejects_options_the_suite_does_not_take(self):
         with pytest.raises(UsageError, match=r"\['s'\].*'nodes'"):

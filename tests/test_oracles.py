@@ -10,16 +10,19 @@ import pytest
 from nrrw import oracles
 from nrrw.engine import PrngStream
 from nrrw.oracles import (
-    GEOMETRIC_RETURN_RATE, NON_ROOT, ROOT_VARIANT, LazyWalkSpec,
-    StarProcessSpec, bounce_bound_floor, bounce_bounds, bounce_envelope,
-    generalized_harmonic, lazy_walk_drift, lazy_walk_return_probability,
-    leaf_fraction_lower_bound, simulate_lazy_walk, simulate_star, star_tail,
-    star_tail_enumerated, star_tail_exact, t_ccdf, t_ccdf_exact,
-    t_expectation, t_mean_partial_sum, t_mean_partial_sum_exact, t_pmf,
-    t_pmf_exact, zeta,
+    GEOMETRIC_RETURN_RATE, NON_ROOT, ROOT_VARIANT, StarProcessSpec,
+    bounce_bound_floor, bounce_bounds, bounce_envelope, generalized_harmonic,
+    leaf_fraction_lower_bound, simulate_star, star_tail, star_tail_enumerated,
+    star_tail_exact, t_ccdf, t_ccdf_exact, t_expectation, t_mean_partial_sum,
+    t_pmf, t_pmf_exact, zeta,
 )
 
-from reference import bounce_bound_exact
+import reference
+from reference import (
+    LazyWalkSpec, bounce_bound_exact, lazy_walk_drift,
+    lazy_walk_return_probability, lazy_walk_returns, simulate_lazy_walk,
+    t_mean_partial_sum_exact,
+)
 
 
 class TestHittingTimePmf:
@@ -182,21 +185,33 @@ class TestLazyWalk:
         assert lazy_walk_drift() == pytest.approx(1.0 / 6.0)
 
     def test_return_counts_are_near_geometric(self):
-        rng = PrngStream(13)
-        spec = LazyWalkSpec()
         n = 4000
-        counts = [simulate_lazy_walk(spec, 3000, rng) for _ in range(n)]
+        counts = lazy_walk_returns(LazyWalkSpec(), 3000, n, seed=13)
         # returns within a finite horizon are dominated by the full-time
         # geometric count, so the empirical ccdf sits below (2/3)^k
         for k in (1, 2, 4, 8):
-            emp = sum(1 for c in counts if c >= k) / n
+            emp = np.count_nonzero(counts >= k) / n
             assert emp <= (2.0 / 3.0) ** k + 0.03
+
+    @pytest.mark.parametrize("block_draws", [1 << 21, 1500])
+    @pytest.mark.parametrize("spec", [LazyWalkSpec(),
+                                      LazyWalkSpec(0.45, 0.5)])
+    def test_numpy_walks_match_the_step_loop(self, spec, block_draws,
+                                             monkeypatch):
+        # 1500 draws: blocks of two walks, the last one short
+        monkeypatch.setattr(reference, "_BLOCK_DRAWS", block_draws)
+        rng = PrngStream(13)
+        loop = [simulate_lazy_walk(spec, 700, rng) for _ in range(7)]
+        assert lazy_walk_returns(spec, 700, 7, seed=13).tolist() == loop
+        assert sum(loop) > 0
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             LazyWalkSpec(up_probability=0.9, down_probability=0.2)
         with pytest.raises(ValueError):
             simulate_lazy_walk(LazyWalkSpec(), 0, PrngStream(0))
+        with pytest.raises(ValueError):
+            lazy_walk_returns(LazyWalkSpec(), 0, 1, seed=0)
 
 
 class TestBounceBound:

@@ -57,7 +57,7 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
     order, plus the visit ledger."""
     visits, kids = [0] * n, [0] * n
     out = {"root_entries": 0, "root_last_visit": 0, "parity_changes": 0,
-           "leaf_series": [], "checkpoints": []}
+           "leaf_series": [], "root_visits_at": [], "parity_changes_at": []}
     leaves, marks, prev = 0, [], ROOT
     anchors, tails, runs = Counter(), Counter(), []
     run_degs, even_pos, even_deg = [], None, 0
@@ -66,9 +66,8 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
         if m in grid:
             out["leaf_series"].append((m, leaves))
         if m in cp_grid:
-            out["checkpoints"].append({
-                "n": m, "clock": t, "visits": visits[:min(m, 10)],
-                "parity_changes": out["parity_changes"]})
+            out["root_visits_at"].append(visits[ROOT])
+            out["parity_changes_at"].append(out["parity_changes"])
 
     def close_run(degs):
         if len(degs) >= 2:
@@ -180,13 +179,18 @@ class TestCollectors:
 
     def test_checkpoints_in_order(self):
         grid = [5, 20, 80]
-        res = collect_run(SimConfig(2, 80, seed=12), checkpoint_grid=grid)
-        cps = res.checkpoints
-        assert [cp["n"] for cp in cps] == grid
-        clocks = [cp["clock"] for cp in cps]
-        assert clocks == sorted(clocks)
-        parities = [cp["parity_changes"] for cp in cps]
-        assert parities == sorted(parities)
+        res = collect_run(SimConfig(2, 80, seed=12),
+                          checkpoint_grid=[80, 300, 5, 20, 20])
+        assert len(res.root_visits_at) == len(res.parity_changes_at) == 3
+        # counts over the first 2*(g-1) steps, the clock vertex g-1 attaches
+        at_root = res.positions == ROOT
+        loops = at_root & np.concatenate(([True], at_root[:-1]))
+        assert res.root_visits_at == [int(at_root[:2 * (g - 1)].sum())
+                                      for g in grid]
+        assert res.parity_changes_at == [int(loops[:2 * (g - 1)].sum())
+                                         for g in grid]
+        assert res.root_visits_at == sorted(res.root_visits_at)
+        assert res.parity_changes_at == sorted(res.parity_changes_at)
 
     def test_renewal_gaps_are_even(self):
         # at s=2 leaf-neutral additions happen on the even clock only
