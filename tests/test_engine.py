@@ -3,6 +3,12 @@ determinism and exports."""
 
 import gc
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,7 @@ class TestSimConfig:
         {"step_parameter": 2, "target_nodes": 0, "seed": 0},
         {"step_parameter": 2, "target_nodes": 10, "seed": -1},
         {"step_parameter": 2, "target_nodes": 10, "seed": 2 ** 64},
+        {"step_parameter": 2, "target_nodes": 2 ** 31, "seed": 0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -180,6 +187,149 @@ class TestRun:
         trail = [ROOT] + positions.tolist()
         loops = sum(1 for a, b in zip(trail, trail[1:]) if a == b == ROOT)
         assert loops % 2 == (depth[trail[-1]] + len(positions)) % 2
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test, so that the
+    test's loader sees its own environment and later tests see theirs."""
+    engine._kernel.cache_clear()
+    yield
+    engine._kernel.cache_clear()
+
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no gcc to build the kernel")
+SRC = Path(__file__).resolve().parents[1] / "src"
+# run in a fresh interpreter: a run's arrays, hashed, and whether the
+# kernel took its steps
+RUN_IN_CHILD = (
+    "import hashlib; from nrrw import engine; "
+    "p, pos = engine.run(engine.SimConfig(2, 5000, 7)); "
+    "print(engine._kernel() is not None, "
+    "hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
+
+
+class TestKernel:
+    # 60 configs; at N=70000 every s crosses the 2**15-draw chunk boundary
+    @needs_gcc
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63])
+    @pytest.mark.parametrize("n", [1, 2, 37, 3000, 70000])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_the_python_loop(self, monkeypatch, s, n, seed):
+        config = SimConfig(s, n, seed)
+        assert engine._kernel() is not None
+        monkeypatch.setattr(engine, "_KERNEL_MIN_STEPS", 0)  # short runs too
+        parent, positions = run(config)
+        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
+        ref_parent, ref_positions = run(config)
+        assert parent.dtype == ref_parent.dtype == np.int64
+        assert positions.dtype == ref_positions.dtype == np.int32
+        assert np.array_equal(parent, ref_parent)
+        assert np.array_equal(positions, ref_positions)
+
+    def test_without_a_compiler_steps_in_python_after_one_note(
+            self, monkeypatch, tmp_path, capsys, fresh_loader):
+        config = SimConfig(3, 40_000, seed=5)
+        expected = run(config)
+        engine._kernel.cache_clear()
+        capsys.readouterr()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        first, second = run(config), run(config)
+        assert engine._kernel() is None
+        note = capsys.readouterr().err.splitlines()
+        assert len(note) == 1 and "stepping in Python" in note[0]
+        for got in (first, second):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_short_runs_never_load_the_kernel(self, fresh_loader):
+        run(SimConfig(1, engine._KERNEL_MIN_STEPS, seed=0))  # one step short
+        assert engine._kernel.cache_info().currsize == 0
+        run(SimConfig(1, engine._KERNEL_MIN_STEPS + 1, seed=0))
+        assert engine._kernel.cache_info().currsize == 1
+
+    def test_cache_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert engine._cache_dir() == tmp_path / "xdg" / "nrrw"
+        for unset in ("", "relative/path"):
+            monkeypatch.setenv("XDG_CACHE_HOME", unset)
+            assert engine._cache_dir() == tmp_path / "home" / ".cache" / "nrrw"
+        (tmp_path / "file").write_text("")  # no directory can go under it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        assert engine._cache_dir() == tmp_path / "tmp" / f"nrrw-{os.getuid()}"
+        mode = (tmp_path / "tmp" / f"nrrw-{os.getuid()}").stat().st_mode
+        assert mode & 0o777 == 0o700
+
+    def test_a_short_step_count_is_out_of_memory(self, monkeypatch):
+        # a kernel that takes 101 steps of the first chunk and then runs
+        # out of memory for the next vertex
+        calls = []
+
+        class Kernel:
+            def walk_new(self, s, n, parent):
+                return 1
+
+            def walk_steps(self, state, draws, size, out):
+                calls.append(gc.isenabled())
+                return 101
+
+            def walk_free(self, state):
+                calls.append("freed")
+
+        monkeypatch.setattr(engine, "_kernel", lambda: Kernel())
+        with pytest.raises(ResourceExhausted) as info:
+            run(SimConfig(2, 40_000, seed=3))
+        assert (info.value.clock, info.value.vertices_built) == (101, 51)
+        assert calls == [False, "freed"]
+        assert gc.isenabled()
+
+    def test_the_python_loop_counts_only_attached_steps(self):
+        class Full(list):  # room for three vertices
+            def append(self, item):
+                if len(self) == 3:
+                    raise MemoryError
+                super().append(item)
+
+        walk = engine._PythonWalk(2)
+        walk.nb = Full(walk.nb)
+        # vertex 3 fails to attach after step 6, so five steps count
+        taken = walk.advance(np.arange(100, dtype=np.uint64),
+                             np.empty(100, dtype=np.int32))
+        assert (taken, 1 + taken // 2) == (5, 3)
+
+    @needs_gcc
+    def test_processes_share_one_cached_library(self, tmp_path):
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(
+                   [str(SRC), os.environ.get("PYTHONPATH", "")])}
+        parent, positions = run(SimConfig(2, 5000, 7))
+        digest = hashlib.sha256(parent.tobytes() + positions.tobytes())
+        expected = f"True {digest.hexdigest()}\n"
+
+        def child(**extra):
+            return subprocess.Popen(
+                [sys.executable, "-c", RUN_IN_CHILD], env={**env, **extra},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+        def outputs(procs):
+            return [p.communicate(timeout=120) for p in procs]
+
+        cold = outputs([child(), child()])
+        assert cold == [(expected, "")] * 2
+        libraries = list((tmp_path / "nrrw").iterdir())
+        assert len(libraries) == 1 and libraries[0].suffix == ".so"
+        built = libraries[0].stat()
+        # no gcc on the PATH: the third process can only load the library
+        warm = outputs([child(PATH=str(tmp_path / "nrrw"))])
+        assert warm == [(expected, "")]
+        assert list((tmp_path / "nrrw").iterdir()) == libraries
+        after = libraries[0].stat()
+        assert (after.st_ino, after.st_mtime_ns) == (built.st_ino,
+                                                     built.st_mtime_ns)
 
 
 class TestExports:
