@@ -1,5 +1,5 @@
-/* Step kernel of nrrw.engine.run: the walker on its growing tree, fed one
- * chunk of pre-drawn 62-bit values at a time, its state kept between chunks.
+/* Step kernel of nrrw.engine.run: the walker on its growing tree, over a
+ * run's pre-drawn 62-bit values, in one call that keeps no state after it.
  *
  * Each vertex keeps its walk neighbours in draw order, [0, 0, children...]
  * at the root (the self-loop twice) and [parent, children...] elsewhere, so
@@ -15,38 +15,6 @@ typedef struct {
     uint32_t len, cap;
     int32_t own[2];  /* storage until the vertex has more than two */
 } vertex;
-
-typedef struct {
-    vertex *v;        /* one slot per vertex of the finished tree */
-    int64_t *parent;  /* the caller's array, written as vertices attach */
-    int64_t built, s, until_attach;
-    int32_t pos;
-} walk;
-
-/* A walk on the root alone that will grow to n vertices; NULL when out of
- * memory. */
-walk *walk_new(int64_t s, int64_t n, int64_t *parent)
-{
-    walk *w = malloc(sizeof *w);
-    vertex *v = calloc((size_t)n, sizeof *v);
-    if (!w || !v) {
-        free(w);
-        free(v);
-        return NULL;
-    }
-    v[0] = (vertex){v[0].own, 2, 2, {0, 0}};
-    *w = (walk){v, parent, 1, s, s, 0};
-    return w;
-}
-
-void walk_free(walk *w)
-{
-    for (int64_t i = 0; i < w->built; i++)
-        if (w->v[i].nb != w->v[i].own)
-            free(w->v[i].nb);
-    free(w->v);
-    free(w);
-}
 
 static int append(vertex *x, int32_t child)
 {
@@ -64,31 +32,35 @@ static int append(vertex *x, int32_t child)
     return 0;
 }
 
-/* Takes up to size steps on draws[0..size), writing the walker's position
- * after each to positions[0..size). Returns the number of steps taken with
- * their attachments: fewer than size only when out of memory. */
-int64_t walk_steps(walk *w, const uint64_t *draws, int64_t size,
-                   int32_t *positions)
+/* Takes up to total steps on draws[0..total) from the root alone, on a tree
+ * that grows to n vertices, writing the walker's position after each step
+ * to positions[0..total) and each attached vertex's parent to
+ * parent[1..n). Returns the number of steps taken with their attachments:
+ * fewer than total only when out of memory. Frees all it allocates. */
+int64_t walk(int64_t s, int64_t n, const uint64_t *draws, int64_t total,
+             int32_t *positions, int64_t *parent)
 {
-    vertex *v = w->v;
-    int32_t pos = w->pos;
-    int64_t until_attach = w->until_attach;
-    int64_t i;
-    for (i = 0; i < size; i++) {
+    vertex *v = calloc((size_t)n, sizeof *v);
+    if (!v)
+        return 0;
+    v[0] = (vertex){v[0].own, 2, 2, {0, 0}};
+    int32_t pos = 0;
+    int64_t built = 1, until_attach = s, i;
+    for (i = 0; i < total; i++) {
         const vertex *here = &v[pos];
         pos = here->nb[draws[i] % (uint64_t)here->len];
         positions[i] = pos;
         if (--until_attach == 0) {
-            int32_t child = (int32_t)w->built;
-            if (append(&v[pos], child) != 0)
+            if (append(&v[pos], (int32_t)built) != 0)
                 break;
-            v[child] = (vertex){v[child].own, 1, 2, {pos, 0}};
-            w->parent[child] = pos;
-            w->built++;
-            until_attach = w->s;
+            v[built] = (vertex){v[built].own, 1, 2, {pos, 0}};
+            parent[built++] = pos;
+            until_attach = s;
         }
     }
-    w->pos = pos;
-    w->until_attach = until_attach;
+    for (int64_t j = 0; j < built; j++)
+        if (v[j].nb != v[j].own)
+            free(v[j].nb);
+    free(v);
     return i;
 }

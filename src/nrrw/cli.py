@@ -11,8 +11,8 @@ import click
 
 from . import engine, harness, oracles
 from .engine import SimConfig
-from .harness import output_root, write_lines, write_run_stats
-from .stats import collect_run, log_grid
+from .harness import output_root, write_lines, write_stats
+from .stats import RunStats, collect_run, leaves_csv, log_grid, visits_csv
 
 
 @click.group()
@@ -29,6 +29,11 @@ def _usage_error_on(*errors: type[Exception]):
         raise click.UsageError(str(exc)) from exc
 
 
+def _write_run_stats(path, res: RunStats):
+    write_stats(path, res.degree_counts, leaves_csv(res.leaf_series),
+                res.bounce.runs, visits_csv(res))
+
+
 @main.command()
 @click.option("--s", "s", type=int, required=True, help="step parameter")
 @click.option("--nodes", type=int, required=True, help="target vertex count")
@@ -43,7 +48,7 @@ def simulate(s, nodes, seed, trajectory, out):
     res = collect_run(config, log_grid(min(100, nodes), nodes, 20))
     path = output_root(out)
     write_lines(path / "edges.txt", engine.edge_list_lines(res.parent, config))
-    write_run_stats(path, res)
+    _write_run_stats(path, res)
     if trajectory:
         write_lines(path / "trajectory.csv",
                     engine.trajectory_lines(s, res.positions))
@@ -178,8 +183,8 @@ def export(what, fmt, s, nodes, seed, out):
     else:
         if fmt != "csv":
             raise click.UsageError("stats export supports csv only")
-        write_run_stats(path, collect_run(config, log_grid(min(100, nodes),
-                                                           nodes, 20)))
+        _write_run_stats(path, collect_run(config, log_grid(min(100, nodes),
+                                                            nodes, 20)))
         click.echo(str(path))
 
 

@@ -70,10 +70,9 @@ class SimConfig:
         return self.step_parameter * (self.target_nodes - 1)
 
 
-# Draws are 62-bit integers taken in chunks of at most _CHUNK. PCG64's
-# ``integers(0, 2**62)`` consumes one 64-bit output per value, so the
-# sequence is the same however it is chunked.
-_CHUNK = 1 << 15
+# Draws are 62-bit integers. PCG64's ``integers(0, 2**62)`` consumes one
+# 64-bit output per value, so the sequence is the same however many values
+# one call takes.
 _DRAW_BOUND = 1 << 62
 
 
@@ -94,7 +93,7 @@ class PrngStream:
     exactly reproducible.
     """
 
-    _CHUNK = _CHUNK
+    _CHUNK = 1 << 15
 
     def __init__(self, seed: int, stream_id: int = 0):
         self._gen = bit_stream(seed, stream_id)
@@ -123,9 +122,10 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     children...]`` at the root (the self-loop twice) and ``[parent,
     children...]`` elsewhere, so a step indexes that list with the draw
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
-    to the same stream. The compiled kernel takes the steps; the Python
-    loop takes them for runs of fewer than ``_KERNEL_MIN_STEPS`` steps and
-    where no kernel could be built. Both give the same arrays.
+    to the same stream. The run's draws come from one ``integers`` call;
+    the compiled kernel takes the steps in one call, the Python loop
+    ``_walk`` where the run has fewer than ``_KERNEL_MIN_STEPS`` steps or
+    no kernel could be built. Both give the same arrays.
 
     The cyclic garbage collector is off while the steps run (and back on
     after them only if the caller had it on): the Python loop allocates one
@@ -133,32 +133,30 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     reference cycles for them to free. Running out of memory raises
     ``ResourceExhausted`` with the progress reached.
     """
-    s, total = config.step_parameter, config.total_steps
-    gen = bit_stream(config.seed)
-    clock = 0
+    s, n = config.step_parameter, config.target_nodes
+    total = config.total_steps
+    taken = 0
     collecting = gc.isenabled()
     gc.disable()
     try:
+        draws = bit_stream(config.seed).integers(0, _DRAW_BOUND, size=total,
+                                                 dtype=np.uint64)
         positions = np.empty(total, dtype=np.int32)
-        kernel = _kernel() if total >= _KERNEL_MIN_STEPS else None
-        walk = (_KernelWalk(kernel, s, config.target_nodes) if kernel
-                else _PythonWalk(s))
-        try:
-            while clock < total:
-                size = min(_CHUNK, total - clock)
-                taken = walk.advance(gen.integers(0, _DRAW_BOUND, size=size,
-                                                  dtype=np.uint64),
-                                     positions[clock:clock + size])
-                clock += taken
-                if taken < size:
-                    raise MemoryError
-            parent = walk.parent()
-        finally:
-            walk.close()
+        parent = np.full(n, NO_PARENT, dtype=np.int64)
+        # a 0-step run has no buffer to hand the kernel
+        kernel = _kernel() if total >= max(_KERNEL_MIN_STEPS, 1) else None
+        if kernel:
+            taken = kernel.walk(s, n, ctypes.c_uint64.from_buffer(draws),
+                                total, ctypes.c_int32.from_buffer(positions),
+                                ctypes.c_int64.from_buffer(parent))
+        else:
+            taken = _walk(s, n, draws, total, positions, parent)
+        if taken < total:
+            raise MemoryError
     except MemoryError as exc:
-        raise ResourceExhausted(f"out of memory at clock {clock}",
-                                vertices_built=1 + clock // s,
-                                clock=clock) from exc
+        raise ResourceExhausted(f"out of memory at clock {taken}",
+                                vertices_built=1 + taken // s,
+                                clock=taken) from exc
     finally:
         if collecting:
             gc.enable()
@@ -166,79 +164,46 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Runs shorter than this step in Python. The kernel costs a few us more per
-# run (three foreign calls, three buffer conversions) and about 0.4 us less
-# per step; on a 2-core Xeon VM the two break even at 12 to 16 steps.
-_KERNEL_MIN_STEPS = 16
+# run (one foreign call, three buffer conversions) and about 0.4 us less
+# per step; on a 2-core Xeon VM the two break even at 4 to 8 steps at s=1,
+# 8 to 10 at s=2 and 8 to 12 at s=4, and the kernel is faster at every s
+# from 12 steps on.
+_KERNEL_MIN_STEPS = 12
+_LIST_DRAWS = 1 << 15
 
 
-class _KernelWalk:
-    """A run's steps in the compiled kernel. ``advance(draws, out)`` takes a
-    step per draw, writes the positions to ``out`` and the attached
-    vertices' parents to ``parent()``, and returns the number of steps
-    taken with their attachments, fewer than ``len(draws)`` only when out
-    of memory. ``close`` frees the kernel's state."""
-
-    def __init__(self, kernel, s: int, n: int):
-        self.kernel = kernel
-        self.parents = np.empty(n, dtype=np.int64)
-        self.parents[ROOT] = NO_PARENT
-        self.state = kernel.walk_new(s, n,
-                                     ctypes.c_int64.from_buffer(self.parents))
-        if not self.state:
-            raise MemoryError
-
-    def advance(self, draws: np.ndarray, out: np.ndarray) -> int:
-        return self.kernel.walk_steps(self.state,
-                                      ctypes.c_uint64.from_buffer(draws),
-                                      len(draws),
-                                      ctypes.c_int32.from_buffer(out))
-
-    def parent(self) -> np.ndarray:
-        return self.parents
-
-    def close(self):
-        self.kernel.walk_free(self.state)
-
-
-class _PythonWalk:
-    """The stepping loop on Python lists: the reference the kernel is
-    tested against, and the stepper for short runs and where no kernel
-    could be built. Same interface as ``_KernelWalk``."""
-
-    def __init__(self, s: int):
-        self.s = s
-        self.nb = [[ROOT, ROOT]]
-        self.parents = [NO_PARENT]
-        self.pos, self.until_attach = ROOT, s
-
-    def advance(self, draws: np.ndarray, out: np.ndarray) -> int:
-        nb, parents, s = self.nb, self.parents, self.s
-        pos, until_attach = self.pos, self.until_attach
-        chunk: list[int] = []
-        record = chunk.append
-        try:
-            for r in draws.tolist():
+def _walk(s: int, n: int, draws: np.ndarray, total: int,
+          positions: np.ndarray, parent: np.ndarray) -> int:
+    """The stepping loop on Python lists, with the kernel's call shape: the
+    reference the kernel is tested against, and the stepper for short runs
+    and where no kernel could be built. Takes a step per draw, writes the
+    positions to ``positions`` and the attached vertices' parents to
+    ``parent``, and returns the number of steps taken with their
+    attachments, fewer than ``total`` only when out of memory."""
+    nb = [[ROOT, ROOT]]
+    path: list[int] = []
+    record = path.append
+    pos, until_attach = ROOT, s
+    try:
+        # a list of at most _LIST_DRAWS draws at a time: one of the whole
+        # run would take about 40 bytes a step
+        for start in range(0, total, _LIST_DRAWS):
+            for r in draws[start:start + _LIST_DRAWS].tolist():
                 here = nb[pos]
                 pos = here[r % len(here)]
                 record(pos)
                 until_attach -= 1
                 if not until_attach:
-                    nb[pos].append(len(nb))
+                    child = len(nb)
+                    nb[pos].append(child)
                     nb.append([pos])
-                    parents.append(pos)
+                    parent[child] = pos
                     until_attach = s
-        except MemoryError:
-            # a step whose vertex did not attach is not taken
-            return len(chunk) - (until_attach == 0)
-        out[:] = chunk
-        self.pos, self.until_attach = pos, until_attach
-        return len(chunk)
-
-    def parent(self) -> np.ndarray:
-        return np.array(self.parents, dtype=np.int64)
-
-    def close(self):
-        pass
+    except MemoryError:
+        # a step whose vertex did not attach is not taken
+        return len(path) - (until_attach == 0)
+    positions[:] = path
+    return total
 
 
 # The kernel is built with the system gcc on the first run in a process,
@@ -257,15 +222,11 @@ def _kernel():
         print(f"nrrw: no C step kernel ({exc}); stepping in Python, "
               "several times slower", file=sys.stderr)
         return None
-    lib.walk_new.argtypes = (ctypes.c_int64, ctypes.c_int64,
-                             ctypes.POINTER(ctypes.c_int64))
-    lib.walk_new.restype = ctypes.c_void_p
-    lib.walk_steps.argtypes = (ctypes.c_void_p,
-                               ctypes.POINTER(ctypes.c_uint64),
-                               ctypes.c_int64, ctypes.POINTER(ctypes.c_int32))
-    lib.walk_steps.restype = ctypes.c_int64
-    lib.walk_free.argtypes = (ctypes.c_void_p,)
-    lib.walk_free.restype = None
+    lib.walk.argtypes = (ctypes.c_int64, ctypes.c_int64,
+                         ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64,
+                         ctypes.POINTER(ctypes.c_int32),
+                         ctypes.POINTER(ctypes.c_int64))
+    lib.walk.restype = ctypes.c_int64
     return lib
 
 

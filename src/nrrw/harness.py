@@ -637,7 +637,7 @@ def check_invariants(config: SimConfig) -> list[str]:
     if np.any(parent[1:] != positions[labels * s - 1]):
         errors.append("attached parent is not the walker's position")
     # parity of depth + clock flips exactly on self-loop traversals
-    depth = np.array(stats.depths(parent))
+    depth = stats.depths(parent)
     parity = (depth[positions] + times) % 2
     flips = np.flatnonzero(np.diff(np.concatenate(([0], parity))))
     if not np.array_equal(flips, np.flatnonzero(stays)):
@@ -712,14 +712,19 @@ def output_root(default: str) -> Path:
     return path
 
 
-def write_run_stats(path: Path, res: RunStats):
-    """Write one run's degrees, ccdf, leaves, visits and bounces CSVs."""
-    counts = res.degree_counts
-    write_lines(path / "degrees.csv", stats.degrees_csv(counts))
-    write_lines(path / "ccdf.csv", stats.ccdf_csv(stats.empirical_ccdf(counts)))
-    write_lines(path / "leaves.csv", stats.leaves_csv(res.leaf_series))
-    write_lines(path / "visits.csv", stats.visits_csv(res))
-    write_lines(path / "bounces.csv", stats.bounces_csv(res.bounce.runs))
+def write_stats(path: Path, degrees: dict[int, int], leaves: list[str],
+                runs: Sequence[tuple[int, int]],
+                visits: Optional[list[str]] = None):
+    """Write the CSVs of one run or of a cell's merged replicas: degrees and
+    ccdf of the ``degrees`` histogram, the ``leaves`` lines, the bounce
+    ``runs`` and, for a single run, the ``visits`` lines."""
+    write_lines(path / "degrees.csv", stats.degrees_csv(degrees))
+    write_lines(path / "ccdf.csv",
+                stats.ccdf_csv(stats.empirical_ccdf(degrees)))
+    write_lines(path / "leaves.csv", leaves)
+    if visits is not None:
+        write_lines(path / "visits.csv", visits)
+    write_lines(path / "bounces.csv", stats.bounces_csv(runs))
 
 
 def run_experiment(spec: ExperimentSpec) -> VerificationReport:
@@ -739,16 +744,10 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
         failed_replicas += len(failed)
         ok = [r for r in summaries if r.status == "ok"]
         if ok:
-            degrees = merge_counters([r.degree_counts for r in ok])
-            write_lines(cell_dir / "degrees.csv",
-                        stats.degrees_csv(dict(degrees)))
-            write_lines(cell_dir / "ccdf.csv",
-                        stats.ccdf_csv(stats.empirical_ccdf(dict(degrees))))
-            series = mean_leaf_series(ok)
-            write_lines(cell_dir / "leaves.csv",
-                        ["n,leaves"] + [f"{n},{v:.6f}" for n, v in series])
-            runs = [rl for r in ok for rl in r.bounce_runs]
-            write_lines(cell_dir / "bounces.csv", stats.bounces_csv(runs))
+            write_stats(cell_dir,
+                        dict(merge_counters([r.degree_counts for r in ok])),
+                        stats.leaves_csv(mean_leaf_series(ok), "{:.6f}"),
+                        [rl for r in ok for rl in r.bounce_runs])
         with open(cell_dir / "replicas.jsonl", "w") as f:
             for r in summaries:
                 f.write(json.dumps({

@@ -89,7 +89,7 @@ def collect_run(config: SimConfig,
         config=config, parent=parent, positions=positions,
         visits=np.bincount(positions, minlength=n),
         leaf_count=leaves(n),
-        max_depth=max(depths(parent)),
+        max_depth=int(depths(parent).max()),
         root_visits=len(root_times),
         root_entries=len(root_times) - len(loop_times),
         root_last_visit=int(root_times[-1]) + 1 if len(root_times) else 0,
@@ -103,12 +103,14 @@ def collect_run(config: SimConfig,
     )
 
 
-def depths(parent: np.ndarray) -> list[int]:
-    """Depth of every vertex; parents are older than their children."""
-    par = parent.tolist()
-    depth = [0] * len(par)
-    for v in range(1, len(par)):
-        depth[v] = depth[par[v]] + 1
+def depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every vertex, by pointer jumping: ``depth[v]`` is the
+    distance from ``v`` to its ancestor ``up[v]``, and each pass doubles it
+    until every ``up`` is the root."""
+    up = np.maximum(parent, ROOT)
+    depth = (up != np.arange(len(up))).astype(np.int64)
+    while up.any():
+        depth, up = depth + depth[up], up[up]
     return depth
 
 
@@ -121,15 +123,21 @@ def walk_degrees(parent: np.ndarray) -> np.ndarray:
 
 def degree_counts(parent: np.ndarray) -> dict[int, int]:
     """Histogram {degree: vertex count} of final walk degrees."""
-    hist = np.bincount(walk_degrees(parent))
-    return {d: c for d, c in enumerate(hist.tolist()) if c}
+    return _histogram(walk_degrees(parent))
+
+
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    """{value: count} of non-negative integers, keys ascending, built from
+    the non-empty bins only."""
+    hist = np.bincount(values)
+    keys = np.flatnonzero(hist)
+    return dict(zip(keys.tolist(), hist[keys].tolist()))
 
 
 def first_children(parent: np.ndarray) -> np.ndarray:
     """Label of each vertex's first child; ``len(parent)`` if it has none."""
     first = np.full(len(parent), len(parent), dtype=np.int64)
-    owners, index = np.unique(parent[1:], return_index=True)
-    first[owners] = index + 1
+    np.minimum.at(first, parent[1:], np.arange(1, len(parent)))
     return first
 
 
@@ -162,7 +170,6 @@ def bounce_statistics(s: int, parent: np.ndarray,
     born = (np.searchsorted(child_keys, where * n + times // s, side="right")
             - np.searchsorted(child_keys, where * n))
     deg = born + 1 + (where == ROOT)
-    anchors = np.bincount(deg)
 
     # same[k]: the walker is back at anchor k - 1's vertex at anchor k
     same = np.zeros(len(where), dtype=np.int8)
@@ -176,7 +183,7 @@ def bounce_statistics(s: int, parent: np.ndarray,
     tail_keys, tail_counts = np.unique(deg[returns - 1] * width + remaining,
                                        return_counts=True)
     return Bounce(
-        anchors={d: c for d, c in enumerate(anchors.tolist()) if c},
+        anchors=_histogram(deg),
         tails={divmod(k, width): c for k, c in zip(tail_keys.tolist(),
                                                    tail_counts.tolist())},
         runs=list(zip(deg[starts - 1].tolist(), lengths.tolist())),
@@ -265,9 +272,10 @@ def ccdf_csv(ccdf: Sequence[tuple[int, float]]) -> list[str]:
     return lines
 
 
-def leaves_csv(series: Sequence[tuple[int, int]]) -> list[str]:
+def leaves_csv(series: Sequence[tuple[int, float]],
+               fmt: str = "{}") -> list[str]:
     lines = ["n,leaves"]
-    lines.extend(f"{n},{l}" for n, l in series)
+    lines.extend(f"{n},{fmt.format(l)}" for n, l in series)
     return lines
 
 

@@ -211,7 +211,7 @@ RUN_IN_CHILD = (
 
 
 class TestKernel:
-    # 60 configs; at N=70000 every s crosses the 2**15-draw chunk boundary
+    # 60 configs, from the 0-step run (N=1) to 280,000-step runs
     @needs_gcc
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 63])
     @pytest.mark.parametrize("n", [1, 2, 37, 3000, 70000])
@@ -265,41 +265,42 @@ class TestKernel:
         assert mode & 0o777 == 0o700
 
     def test_a_short_step_count_is_out_of_memory(self, monkeypatch):
-        # a kernel that takes 101 steps of the first chunk and then runs
-        # out of memory for the next vertex
+        # a kernel that takes 101 steps and then runs out of memory for the
+        # next vertex
         calls = []
 
         class Kernel:
-            def walk_new(self, s, n, parent):
-                return 1
-
-            def walk_steps(self, state, draws, size, out):
-                calls.append(gc.isenabled())
+            def walk(self, s, n, draws, total, positions, parent):
+                calls.append((gc.isenabled(), s, n, total))
                 return 101
-
-            def walk_free(self, state):
-                calls.append("freed")
 
         monkeypatch.setattr(engine, "_kernel", lambda: Kernel())
         with pytest.raises(ResourceExhausted) as info:
             run(SimConfig(2, 40_000, seed=3))
         assert (info.value.clock, info.value.vertices_built) == (101, 51)
-        assert calls == [False, "freed"]
+        assert calls == [(False, 2, 40_000, 79_998)]
         assert gc.isenabled()
 
     def test_the_python_loop_counts_only_attached_steps(self):
-        class Full(list):  # room for three vertices
-            def append(self, item):
-                if len(self) == 3:
+        class Full(np.ndarray):  # room for the parents of three vertices
+            def __setitem__(self, index, value):
+                if index == 3:
                     raise MemoryError
-                super().append(item)
+                super().__setitem__(index, value)
 
-        walk = engine._PythonWalk(2)
-        walk.nb = Full(walk.nb)
+        parent = np.full(10, NO_PARENT, dtype=np.int64).view(Full)
         # vertex 3 fails to attach after step 6, so five steps count
-        taken = walk.advance(np.arange(100, dtype=np.uint64),
-                             np.empty(100, dtype=np.int32))
+        taken = engine._walk(2, 10, np.arange(18, dtype=np.uint64), 18,
+                             np.empty(18, dtype=np.int32), parent)
         assert (taken, 1 + taken // 2) == (5, 3)
+
+    @needs_gcc
+    def test_the_kernel_compiles_without_warnings(self):
+        result = subprocess.run(
+            ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(engine._KERNEL_SOURCE)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     @needs_gcc
     def test_processes_share_one_cached_library(self, tmp_path):

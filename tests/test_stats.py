@@ -130,7 +130,8 @@ class TestReferenceStepper:
             assert res.positions.tolist() == steps
 
     def test_stream_spans_draw_chunks(self):
-        # 39,999 steps cross the 32,768-draw chunk boundary
+        # 39,999 steps: the reference refills PrngStream's 32,768-draw
+        # buffer, the engine draws them in one call
         tree, steps = reference_run(1, 40_000, 5)
         parent, positions = run(SimConfig(1, 40_000, 5))
         assert parent.tolist() == tree.parent
@@ -161,6 +162,17 @@ class TestCollectors:
         parents = set(res.parent[1:].tolist())
         leaves = sum(1 for v in range(1, len(res.parent)) if v not in parents)
         assert res.leaf_count == leaves
+
+    @pytest.mark.parametrize("s, n", [(1, 1), (2, 2), (1, 200_000)])
+    def test_depths_match_a_loop_over_the_parents(self, s, n):
+        parent, _ = run(SimConfig(s, n, seed=21))
+        par, expected = parent.tolist(), [0] * n
+        for v in range(1, n):
+            expected[v] = expected[par[v]] + 1
+        depth = depths(parent)
+        assert depth.tolist() == expected
+        if n == 200_000:
+            assert max(expected) > 10_000  # many pointer-jumping passes
 
     def test_depth_histogram(self):
         res = collect_run(SimConfig(1, 400, seed=10))
