@@ -12,7 +12,6 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -113,9 +112,20 @@ def replica_seed(base_seed: int, cell_index: int, replica_index: int) -> int:
 # ---------------------------------------------------------------------------
 # Replicated runs
 
+# the bounce arrays of a summary that does not carry them: one shared,
+# read-only empty array, so such a summary allocates nothing for them
+_NO_BOUNCE = np.empty(0, dtype=np.int32)
+_NO_BOUNCE.flags.writeable = False
+
+
 @dataclass
 class ReplicaSummary:
-    """Picklable per-replica aggregate, merged across replicas by the driver."""
+    """Picklable per-replica aggregate, merged across replicas by the driver.
+
+    ``bounce_anchors`` and ``bounce_tails`` are ``stats.Bounce``'s
+    per-anchor ``int32`` arrays (empty unless asked for), so they pickle as
+    two buffers.
+    """
 
     seed: int
     status: str = "ok"
@@ -133,8 +143,8 @@ class ReplicaSummary:
     root_visits_at: list[int] = field(default_factory=list)
     parity_changes_at: list[int] = field(default_factory=list)
     renewal_gaps: list[int] = field(default_factory=list)
-    bounce_anchors: dict[int, int] = field(default_factory=dict)
-    bounce_tails: dict[tuple[int, int], int] = field(default_factory=dict)
+    bounce_anchors: np.ndarray = field(default_factory=lambda: _NO_BOUNCE)
+    bounce_tails: np.ndarray = field(default_factory=lambda: _NO_BOUNCE)
     bounce_runs: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -152,8 +162,8 @@ def run_replica(s: int, nodes: int, seed: int,
                               status=f"failed({exc})",
                               clock=exc.clock,
                               vertex_count=exc.vertices_built)
-    # the (degree, run) tail counter can hold ~10^6 keys at large N; suites
-    # that never read the bounce statistics skip deriving and shipping them
+    # two arrays with one entry per even time; suites that never read the
+    # bounce statistics skip deriving and shipping them
     bounce = res.bounce if keep_bounce_stats or keep_bounce_runs else None
     elapsed = max(time.perf_counter() - t0, 1e-9)
     return ReplicaSummary(
@@ -172,8 +182,8 @@ def run_replica(s: int, nodes: int, seed: int,
         root_visits_at=res.root_visits_at,
         parity_changes_at=res.parity_changes_at,
         renewal_gaps=res.renewal_gaps,
-        bounce_anchors=bounce.anchors if keep_bounce_stats else {},
-        bounce_tails=bounce.tails if keep_bounce_stats else {},
+        bounce_anchors=bounce.anchors if keep_bounce_stats else _NO_BOUNCE,
+        bounce_tails=bounce.tails if keep_bounce_stats else _NO_BOUNCE,
         bounce_runs=bounce.runs if keep_bounce_runs else [],
     )
 
@@ -516,81 +526,69 @@ def suite_bounce(nodes: int = 100_000, replicas: int = 20, seed: int = 109,
                  max_k: int = 30, jobs: int = 1):
     """Pooled consecutive two-step-return frequencies against the exact
     product bound, degree by degree: one ``stats.dominance_check`` for each
-    degree that ``bounce_suspects`` cannot rule out."""
+    degree that ``bounce_suspects`` cannot rule out, in ascending order."""
     failures = []
     summaries = suite_cell(2, nodes, replicas, seed, jobs=jobs,
                            keep_bounce_stats=True)
-    anchors = merge_counters([r.bounce_anchors for r in summaries])
+    table = bounce_table(summaries, max_k)
     worst = 0.0
-    for d, hist in bounce_suspects(summaries, anchors, max_k).items():
-        n_d = anchors[d]
-        hist[0] = n_d - sum(hist.values())
+    for d in bounce_suspects(table, max_k).tolist():
+        returns = np.flatnonzero(table[d])
+        hist = dict(zip(returns.tolist(), table[d, returns].tolist()))
+        n_d = sum(hist.values())
         bounds = oracles.bounce_bounds(d, max_k)
         report = stats.dominance_check(hist, range(1, max_k + 1),
                                        lambda k: bounds[k - 1])
         worst = max(worst, report.worst_violation)
         failures.extend(f"d={d} k={k}: freq {p:.4f} > bound {limit:.4f} "
                         f"(n={n_d})" for k, p, limit in report.violations)
-    return failures[:10], {"checked": len(anchors) * max_k,
+    degrees = int(np.count_nonzero(table.any(axis=1)))
+    return failures[:10], {"checked": degrees * max_k,
                            "worst_gap": worst,
-                           "degrees": len(anchors), "replicas": replicas,
+                           "degrees": degrees, "replicas": replicas,
                            "nodes": nodes}
 
 
-def bounce_suspects(summaries: Sequence[ReplicaSummary], anchors: Counter,
-                    max_k: int) -> dict[int, dict[int, int]]:
-    """The anchor degrees, in ``anchors`` order, whose return-count CCDF
-    might exceed the bounce bound plus the DKW margin at some k <= max_k,
-    each with its pooled histogram {returns: anchors} for returns >= 1,
-    capped at max_k (which leaves the CCDF on 1..max_k as it is).
+def bounce_table(summaries: Sequence[ReplicaSummary],
+                 max_k: int) -> np.ndarray:
+    """The replicas' pooled anchors as a (degree x returns) count table:
+    ``table[d, k]`` counts the anchors of degree ``d`` followed by ``k``
+    returns, with ``k`` capped at ``max_k``, which leaves the return-count
+    CCDF on 1..max_k as it is. The table is only as wide as the largest
+    capped count present, so a large ``max_k`` allocates nothing extra."""
+    degree = np.concatenate([r.bounce_anchors for r in summaries])
+    returns = np.concatenate([r.bounce_tails for r in summaries])
+    width = min(max_k, int(returns.max(initial=0))) + 1
+    cells = degree.astype(np.int64) * width + np.minimum(returns, width - 1)
+    rows = int(degree.max(initial=0)) + 1
+    return np.bincount(cells, minlength=rows * width).reshape(rows, width)
+
+
+def bounce_suspects(table: np.ndarray, max_k: int) -> np.ndarray:
+    """The anchor degrees of a ``bounce_table``, ascending, whose
+    return-count CCDF might exceed the bounce bound plus the DKW margin at
+    some k <= max_k.
 
     Every other degree passes ``stats.dominance_check``: it has p(d, k) <=
     floor(d, k) + margin(d) at every k, where p is the check's own
     quotient of integers and the floor is ``oracles.bounce_bound_floor``,
     below the bound, so p is also under the check's limit (rounded addition
-    is monotone). p(d, k) is constant
-    between the capped return counts present and 0 past the largest, and
-    the floor does not grow with k, so p is tested at each return count
-    present and 0 at k = max_k.
+    is monotone). p is 0 past the table's last column and the floor does
+    not grow with k, so there p is tested only at k = max_k.
     """
-    degree = np.fromiter(anchors, np.int64, len(anchors))
-    n = np.zeros(int(degree.max(initial=0)) + 1, np.int64)
-    n[degree] = np.fromiter(anchors.values(), np.int64, len(anchors))
-    margin = np.zeros(len(n))
-    margin[degree] = [stats.dkw_margin(m) for m in anchors.values()]
-    suspect = np.zeros(len(n), dtype=bool)
-    suspect[degree] = (oracles.bounce_bound_floor(degree, max_k)
-                       + margin[degree] < 0)
-
-    # one entry per replica and (degree, returns) key, by degree and then
-    # by capped returns, largest first
-    total = sum(len(r.bounce_tails) for r in summaries)
-    keys = np.fromiter(chain.from_iterable(chain.from_iterable(
-        r.bounce_tails for r in summaries)), np.int64, 2 * total)
-    returns = np.minimum(keys[1::2], max_k)
-    order = np.argsort(keys[0::2] * (int(returns.max(initial=0)) + 1)
-                       - returns)
-    degree, returns = keys[0::2][order], returns[order]
-    del keys
-    count = np.fromiter(chain.from_iterable(
-        r.bounce_tails.values() for r in summaries), np.int64, total)[order]
-    del order
-    # at_least[i]: anchors of degree[i] with returns[i] returns or more
-    # (all of them at the last of equal entries)
-    at_least = np.cumsum(count)
-    first = np.diff(degree, prepend=-1) != 0  # first entry of its degree
-    at_least -= np.maximum.accumulate(np.where(first, at_least - count, 0))
-    suspect[degree[at_least / n[degree] > oracles.bounce_bound_floor(
-        degree, returns) + margin[degree]]] = True
-
-    flagged = set(np.flatnonzero(suspect).tolist())
-    out = {}
-    for d in [d for d in anchors if d in flagged]:
-        lo, hi = np.searchsorted(degree, [d, d + 1]).tolist()
-        hist = out[d] = {}
-        for k, c in zip(returns[lo:hi].tolist(), count[lo:hi].tolist()):
-            hist[k] = hist.get(k, 0) + c
-    return out
+    n = table.sum(axis=1)
+    degree = np.flatnonzero(n)
+    n = n[degree]
+    sizes, index = np.unique(n, return_inverse=True)
+    margin = np.array([stats.dkw_margin(m) for m in sizes.tolist()])[index]
+    # at_least[:, k - 1]: anchors of each degree followed by k returns or more
+    at_least = np.cumsum(table[degree, :0:-1], axis=1)[:, ::-1]
+    k = np.arange(1, table.shape[1])
+    over = at_least / n[:, None] > (
+        oracles.bounce_bound_floor(degree[:, None], k) + margin[:, None])
+    suspect = over.any(axis=1)
+    suspect |= oracles.bounce_bound_floor(degree, max_k) + margin < 0
+    return degree[suspect]
 
 
 @suite("invariants")

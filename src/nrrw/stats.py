@@ -24,14 +24,16 @@ class EmptyHistogramError(ValueError):
 class Bounce:
     """Consecutive two-step returns, anchored at even times t0 >= s.
 
-    ``anchors[d]`` counts anchors whose vertex has degree ``d``;
-    ``tails[(d, k)]`` counts anchors of degree ``d`` from which exactly
-    ``k`` consecutive returns follow before their maximal run ends; ``runs`` lists each maximal run
-    as (degree at its start, number of returns), in time order.
+    Two ``int32`` arrays with one entry per anchor, in time order:
+    ``anchors[i]`` is the degree of the walker's vertex at anchor ``i`` and
+    ``tails[i]`` the number of consecutive returns that follow it before
+    their maximal run ends (0 if the walker is elsewhere at anchor
+    ``i + 1``). ``runs`` lists each maximal run as (degree at its start,
+    number of returns), in time order.
     """
 
-    anchors: dict[int, int]
-    tails: dict[tuple[int, int], int]
+    anchors: np.ndarray
+    tails: np.ndarray
     runs: list[tuple[int, int]]
 
 
@@ -122,14 +124,9 @@ def walk_degrees(parent: np.ndarray) -> np.ndarray:
 
 
 def degree_counts(parent: np.ndarray) -> dict[int, int]:
-    """Histogram {degree: vertex count} of final walk degrees."""
-    return _histogram(walk_degrees(parent))
-
-
-def _histogram(values: np.ndarray) -> dict[int, int]:
-    """{value: count} of non-negative integers, keys ascending, built from
-    the non-empty bins only."""
-    hist = np.bincount(values)
+    """Histogram {degree: vertex count} of final walk degrees, keys
+    ascending, built from the non-empty bins only."""
+    hist = np.bincount(walk_degrees(parent))
     keys = np.flatnonzero(hist)
     return dict(zip(keys.tolist(), hist[keys].tolist()))
 
@@ -178,14 +175,11 @@ def bounce_statistics(s: int, parent: np.ndarray,
     starts, ends = edges[0::2], edges[1::2]  # maximal runs same[starts:ends]
     lengths = ends - starts
     returns = np.flatnonzero(same)
-    remaining = np.repeat(ends, lengths) - returns  # returns left in its run
-    width = int(lengths.max(initial=0)) + 1
-    tail_keys, tail_counts = np.unique(deg[returns - 1] * width + remaining,
-                                       return_counts=True)
+    follow = np.zeros(len(where), dtype=np.int32)
+    follow[returns - 1] = np.repeat(ends, lengths) - returns  # left in its run
     return Bounce(
-        anchors=_histogram(deg),
-        tails={divmod(k, width): c for k, c in zip(tail_keys.tolist(),
-                                                   tail_counts.tolist())},
+        anchors=deg.astype(np.int32),
+        tails=follow,
         runs=list(zip(deg[starts - 1].tolist(), lengths.tolist())),
     )
 

@@ -147,20 +147,20 @@ def bounce_bound_exact(d0: int, k: int) -> Fraction:
 def bounce_reports(summaries, max_k: int
                    ) -> dict[int, tuple[int, stats.DominanceReport]]:
     """``{degree: (anchors, report)}`` from one ``stats.dominance_check``
-    for every anchor degree of the pooled replicas, none ruled out, in the
-    order the bounce suite reports them."""
-    anchors = Counter()
-    tails = Counter()
+    for every anchor degree of the pooled replicas, none ruled out, in
+    ascending order, as the bounce suite reports them. The anchors are
+    pooled by their (degree, returns capped at max_k) pairs."""
+    pairs = Counter()
     for r in summaries:
-        anchors.update(r.bounce_anchors)
-        tails.update(r.bounce_tails)
+        pairs.update((d, min(k, max_k)) for d, k in
+                     zip(r.bounce_anchors.tolist(), r.bounce_tails.tolist()))
     returns: dict[int, dict[int, int]] = defaultdict(dict)
-    for (d, k), c in tails.items():
+    for (d, k), c in pairs.items():
         returns[d][k] = c
     reports = {}
-    for d, n_d in anchors.items():
+    for d in sorted(returns):
         hist = returns[d]
-        hist[0] = n_d - sum(hist.values())
+        n_d = sum(hist.values())
         bounds = oracles.bounce_bounds(d, max_k)
         reports[d] = n_d, stats.dominance_check(
             hist, range(1, max_k + 1), lambda k: bounds[k - 1])

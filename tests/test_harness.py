@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import pickle
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +28,26 @@ from nrrw.stats import log_grid
 import reference
 
 
+def bounce_counts(summary: ReplicaSummary) -> tuple[dict, dict]:
+    """The per-anchor bounce arrays folded into the histograms that
+    summaries carried before: {degree: anchors} and {(degree, returns):
+    anchors} for returns >= 1."""
+    anchors = summary.bounce_anchors.tolist()
+    tails = summary.bounce_tails.tolist()
+    return (dict(Counter(anchors)),
+            dict(Counter((d, k) for d, k in zip(anchors, tails) if k)))
+
+
 def summary_digest(summary: ReplicaSummary) -> str:
-    """SHA-256 over every summary field but the timing, dicts in key order."""
+    """SHA-256 over every summary field but the timing, dicts in key order
+    and the bounce arrays as ``bounce_counts``' histograms."""
+    folded = dict(zip(["bounce_anchors", "bounce_tails"],
+                      bounce_counts(summary)))
     h = hashlib.sha256()
     for f in dataclasses.fields(summary):
         if f.name == "steps_per_second":
             continue
-        value = getattr(summary, f.name)
+        value = folded.get(f.name, getattr(summary, f.name))
         if isinstance(value, dict):
             value = sorted(value.items())
         h.update(json.dumps([f.name, value]).encode())
@@ -109,9 +124,37 @@ class TestReplicaRuns:
         summary = run_replica(2, 2000, 7, log_grid(100, 2000, 20),
                               log_grid(10, 2000, 10), keep_bounce_runs=True,
                               keep_bounce_stats=True)
-        assert summary.bounce_runs and summary.bounce_tails
+        assert summary.bounce_runs and summary.bounce_tails.any()
         assert summary_digest(summary) == (
             "38f0a28fa6bbd0a3b673124ce602655f3dedad807d7110fad2700ada8664797e")
+
+    def test_bounce_counts_pinned(self):
+        # the per-anchor arrays, folded back into the {degree: anchors} and
+        # {(degree, returns): anchors} dicts the summaries carried before,
+        # hash to the value those dicts gave (25,840 tail keys); a summary
+        # digest that printed the arrays through str() would see only their
+        # ends
+        seed = replica_seed(1, 0, 0)
+        summary = run_replica(2, 30_000, seed, keep_bounce_stats=True)
+        anchors, tails = bounce_counts(summary)
+        assert (len(anchors), len(tails)) == (10_271, 25_840)
+        digest = hashlib.sha256(json.dumps(
+            [sorted(anchors.items()), sorted(tails.items())]).encode())
+        assert digest.hexdigest() == (
+            "ed869c8c7254fea781bb8bc3ed644bd3b67f213c38121d0c97141277ac12c952")
+
+    def test_summaries_without_bounce_stats_share_one_empty_array(self):
+        a, b = run_cell(2, 3, replicas=2, base_seed=1)
+        for r in (a, b, ReplicaSummary(seed=0)):
+            assert r.bounce_anchors is r.bounce_tails is a.bounce_anchors
+        assert a.bounce_anchors.size == 0
+        assert not a.bounce_anchors.flags.writeable
+        with_stats = run_replica(2, 300, 1, keep_bounce_stats=True)
+        copy = pickle.loads(pickle.dumps(with_stats))
+        for name in ("bounce_anchors", "bounce_tails"):
+            value = getattr(copy, name)
+            assert isinstance(value, np.ndarray) and value.dtype == np.int32
+            assert value.tolist() == getattr(with_stats, name).tolist()
 
     def test_merge_counters(self):
         merged = merge_counters([{1: 2, 3: 1}, {1: 1}])
@@ -237,7 +280,7 @@ class TestVerificationPlumbing:
 
 
 def bounce_summaries(seed: int, replicas: int = 3) -> list[ReplicaSummary]:
-    """Replicas with random bounce anchors and tails: each anchors a random
+    """Replicas with random per-anchor bounce arrays: each anchors a random
     subset of degrees 1..40, in random order, and each anchor is followed
     by a geometric number of returns that continues with probability
     max(0, 1 - 1/(2cd)), c in [0.3, 3): under the bound's rate for c < 1,
@@ -245,17 +288,24 @@ def bounce_summaries(seed: int, replicas: int = 3) -> list[ReplicaSummary]:
     rng = np.random.default_rng(seed)
     out = []
     for r in range(replicas):
-        anchors, tails = {}, {}
+        anchors, tails = [], []
         for d in rng.permutation(40)[:rng.integers(1, 40)].tolist():
             d += 1
-            anchors[d] = int(rng.integers(1, 60))
+            count = int(rng.integers(1, 60))
             leave = min(1.0, 1.0 / (2.0 * rng.uniform(0.3, 3.0) * d))
-            runs = rng.geometric(leave, size=anchors[d]) - 1
-            for k in runs[runs > 0].tolist():
-                tails[d, k] = tails.get((d, k), 0) + 1
-        out.append(ReplicaSummary(seed=r, bounce_anchors=anchors,
-                                  bounce_tails=tails))
+            anchors += [d] * count
+            tails += (rng.geometric(leave, size=count) - 1).tolist()
+        out.append(ReplicaSummary(
+            seed=r, bounce_anchors=np.array(anchors, dtype=np.int32),
+            bounce_tails=np.array(tails, dtype=np.int32)))
     return out
+
+
+def anchor_arrays(*anchors: tuple[int, int]) -> dict[str, np.ndarray]:
+    """ReplicaSummary bounce fields from (degree, returns) anchors."""
+    degree, returns = zip(*anchors)
+    return {"bounce_anchors": np.array(degree, dtype=np.int32),
+            "bounce_tails": np.array(returns, dtype=np.int32)}
 
 
 class TestBounceRuleOut:
@@ -280,8 +330,8 @@ class TestBounceRuleOut:
                                              margin):
         summaries = bounce_summaries(seed)
         self.check(monkeypatch, summaries, max_k, margin)
-        anchors = merge_counters([r.bounce_anchors for r in summaries])
-        suspects = harness.bounce_suspects(summaries, anchors, max_k)
+        suspects = harness.bounce_suspects(
+            harness.bounce_table(summaries, max_k), max_k).tolist()
         for d, (_, report) in reference.bounce_reports(summaries,
                                                        max_k).items():
             assert d in suspects or report.passed
@@ -290,19 +340,24 @@ class TestBounceRuleOut:
         # d=1: 2 of 4 anchors return once, so p(1) = 1/2 = bound + margin,
         # a tie; d=2: both anchors return more than max_k times; d=3: none
         # returns
-        tie = ReplicaSummary(seed=0, bounce_anchors={1: 4, 2: 2, 3: 2},
-                             bounce_tails={(1, 1): 2, (2, 40): 2})
+        tie = ReplicaSummary(seed=0, **anchor_arrays(
+            (1, 1), (1, 1), (1, 0), (1, 0), (2, 40), (2, 40), (3, 0), (3, 0)))
         assert self.check(monkeypatch, [tie], 3, margin=0.0)["failures"] == [
             "d=2 k=1: freq 1.0000 > bound 0.7500 (n=2)",
             "d=2 k=2: freq 1.0000 > bound 0.6250 (n=2)",
             "d=2 k=3: freq 1.0000 > bound 0.5469 (n=2)"]
-        tie.bounce_tails[1, 1] = 3
+        tie.bounce_tails[2] = 1
         assert self.check(monkeypatch, [tie], 3, margin=0.0)["failures"][0] \
             == "d=1 k=1: freq 0.7500 > bound 0.5000 (n=4)"
         # with a negative margin p = 0 fails where the bound is under -margin
         details = self.check(monkeypatch, [tie], 3, margin=-0.7)
         assert details["failures"][-1] == (
             "d=3 k=3: freq 0.0000 > bound -0.0437 (n=2)")
+        # the same where no anchor returns, so the pooled table has no
+        # column for k >= 1
+        still = ReplicaSummary(seed=0, **anchor_arrays((3, 0), (3, 0)))
+        assert self.check(monkeypatch, [still], 3, margin=-0.7)[
+            "failures"] == ["d=3 k=3: freq 0.0000 > bound -0.0437 (n=2)"]
 
 
 class TestExperimentSpec:

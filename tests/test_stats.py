@@ -59,8 +59,8 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
     out = {"root_entries": 0, "root_last_visit": 0, "parity_changes": 0,
            "leaf_series": [], "root_visits_at": [], "parity_changes_at": []}
     leaves, marks, prev = 0, [], ROOT
-    anchors, tails, runs = Counter(), Counter(), []
-    run_degs, even_pos, even_deg = [], None, 0
+    anchors, follow, runs = [], [], []
+    run_degs, even_pos, even_deg, first = [], None, 0, 0
 
     def reached(m, t):  # the tree has just reached m vertices
         if m in grid:
@@ -72,8 +72,6 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
     def close_run(degs):
         if len(degs) >= 2:
             runs.append((degs[0], len(degs) - 1))
-            for j in range(len(degs) - 1):
-                tails[(degs[j], len(degs) - 1 - j)] += 1
 
     reached(1, 0)
     for t, pos in enumerate(steps, 1):
@@ -91,12 +89,16 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
             reached(t // s + 1, t)
         if t % 2 == 0 and t >= s:
             d = kids[pos] + (2 if pos == ROOT else 1)
-            anchors[d] += 1
             if pos == even_pos:
                 run_degs = (run_degs or [even_deg]) + [d]
+                # a return: one more follows every anchor since the arrival
+                for j in range(first, len(follow)):
+                    follow[j] += 1
             else:
                 close_run(run_degs)
-                run_degs = []
+                run_degs, first = [], len(follow)
+            anchors.append(d)
+            follow.append(0)
             even_pos, even_deg = pos, d
         prev = pos
     close_run(run_degs)
@@ -106,8 +108,7 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
                leaf_count=leaves, max_depth=max(tree.depth),
                root_visits=visits[ROOT], degree_counts=dict(degrees),
                renewal_gaps=[b - a for a, b in zip(marks, marks[1:])],
-               bounce_anchors=dict(anchors), bounce_tails=dict(tails),
-               bounce_runs=runs)
+               bounce_anchors=anchors, bounce_tails=follow, bounce_runs=runs)
     return out, visits
 
 
@@ -123,7 +124,10 @@ class TestReferenceStepper:
                               keep_bounce_stats=True)
             assert got.status == "ok"
             for name, value in want.items():
-                assert getattr(got, name) == value, name
+                got_value = getattr(got, name)
+                if isinstance(got_value, np.ndarray):
+                    got_value = got_value.tolist()
+                assert got_value == value, name
             res = collect_run(SimConfig(s, n, seed))
             assert res.visits.tolist() == ledger
             assert res.parent.tolist() == tree.parent
@@ -214,21 +218,27 @@ class TestCollectors:
     def test_bounce_log_consistency(self):
         b = collect_run(SimConfig(2, 2000, seed=14)).bounce
         assert b.runs
-        # every maximal run of length m contributes m tail entries
-        assert sum(m for _, m in b.runs) == sum(b.tails.values())
-        # anchors at degree d bound the tails that start there
-        for (d, _), n in b.tails.items():
-            assert b.anchors[d] >= n
+        assert b.anchors.dtype == b.tails.dtype == np.int32
+        anchors, tails = b.anchors.tolist(), b.tails.tolist()
+        assert len(anchors) == len(tails)
+        # every maximal run of length m is followed from m anchors, counting
+        # down m, m - 1, ..., 1; its start is the first of them
+        assert sum(m for _, m in b.runs) == sum(k > 0 for k in tails)
+        starts = [i for i, k in enumerate(tails)
+                  if k and (i == 0 or tails[i - 1] == 0)]
+        assert [(anchors[i], tails[i]) for i in starts] == b.runs
+        assert all(tails[i + 1] == k - 1
+                   for i, k in enumerate(tails[:-1]) if k)
 
     def test_bounce_tail_frequency(self):
         b = collect_run(SimConfig(2, 2000, seed=14)).bounce
-        d = max(b.anchors, key=b.anchors.get)
+        d = np.bincount(b.anchors).argmax()
 
         def freq(k):  # P(>= k consecutive two-step returns | degree d)
-            return sum(c for (deg, m), c in b.tails.items()
-                       if deg == d and m >= k) / b.anchors[d]
+            return np.mean(b.tails[b.anchors == d] >= k)
 
         assert 0.0 <= freq(2) <= freq(1) <= 1.0
+        assert freq(1) > 0.0
 
     def test_trajectory_recording(self):
         config = SimConfig(2, 10, seed=15)
