@@ -5,6 +5,14 @@
  * at the root (the self-loop twice) and [parent, children...] elsewhere, so
  * a step is pos = nb[r % len], the mapping of engine.PrngStream.randbelow.
  * After every s steps the next vertex attaches to the walker's position.
+ *
+ * A non-root vertex without a child has one neighbour, its parent, and the
+ * walker can only have come from there: a step off such a leaf goes back to
+ * the previous position without loading the leaf's list, which misses the
+ * cache once the tree is large. One byte per vertex says whether it has a
+ * child (the root always counts as having one, for its self-loop). The leaf
+ * step still uses up its draw, as r % 1 == 0 does, so every later step reads
+ * the same draw as before and the outputs are those of the full rule.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -41,18 +49,26 @@ int64_t walk(int64_t s, int64_t n, const uint64_t *draws, int64_t total,
              int32_t *positions, int64_t *parent)
 {
     vertex *v = calloc((size_t)n, sizeof *v);
-    if (!v)
+    uint8_t *has_child = calloc((size_t)n, 1);
+    if (!v || !has_child) {
+        free(v);
+        free(has_child);
         return 0;
+    }
     v[0] = (vertex){v[0].own, 2, 2, {0, 0}};
-    int32_t pos = 0;
+    has_child[0] = 1;
+    int32_t pos = 0, prev = 0;
     int64_t built = 1, until_attach = s, i;
     for (i = 0; i < total; i++) {
         const vertex *here = &v[pos];
-        pos = here->nb[draws[i] % (uint64_t)here->len];
+        int32_t from = pos;
+        pos = has_child[pos] ? here->nb[draws[i] % (uint64_t)here->len] : prev;
+        prev = from;
         positions[i] = pos;
         if (--until_attach == 0) {
             if (append(&v[pos], (int32_t)built) != 0)
                 break;
+            has_child[pos] = 1;
             v[built] = (vertex){v[built].own, 1, 2, {pos, 0}};
             parent[built++] = pos;
             until_attach = s;
@@ -62,5 +78,6 @@ int64_t walk(int64_t s, int64_t n, const uint64_t *draws, int64_t total,
         if (v[j].nb != v[j].own)
             free(v[j].nb);
     free(v);
+    free(has_child);
     return i;
 }

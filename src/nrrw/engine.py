@@ -127,6 +127,13 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     ``_walk`` where the run has fewer than ``_KERNEL_MIN_STEPS`` steps or
     no kernel could be built. Both give the same arrays.
 
+    The kernel steps off a non-root vertex without a child, whose one
+    neighbour is the parent the walker came from, straight back to the
+    previous position: it keeps one byte per vertex saying whether it has
+    a child and never loads such a leaf's list. At even s about half the
+    steps start on a leaf. The step still uses up its draw, as ``r % 1``
+    in ``_walk`` does, so each later step reads the same draw.
+
     The cyclic garbage collector is off while the steps run (and back on
     after them only if the caller had it on): the Python loop allocates one
     list per attached vertex, which would trigger collections, and makes no
@@ -166,8 +173,9 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 # Runs shorter than this step in Python. The kernel costs a few us more per
 # run (one foreign call, three buffer conversions) and about 0.4 us less
 # per step; on a 2-core Xeon VM the two break even at 4 to 8 steps at s=1,
-# 8 to 10 at s=2 and 8 to 12 at s=4, and the kernel is faster at every s
-# from 12 steps on.
+# 8 at s=2 and 8 to 12 at s=4, and the kernel is faster at every s from 12
+# steps on (300-run batches, 40 alternating rounds; unmoved by the leaf
+# shortcut, which saves nanoseconds a step).
 _KERNEL_MIN_STEPS = 12
 _LIST_DRAWS = 1 << 15
 

@@ -92,14 +92,15 @@ class TestWalkerStep:
             assert trajectory_lines(2, positions)[2].endswith(",1")
             assert parent[1] == ROOT
 
-    def test_leaf_always_steps_to_parent(self):
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_leaf_always_steps_to_parent(self, s):
         # a vertex is a leaf at time t until its first child attaches at
         # time (label of that child) * s
         for seed in range(5):
-            parent, positions = run(SimConfig(2, 400, seed=seed))
+            parent, positions = run(SimConfig(s, 400, seed=seed))
             here = positions[:-1]
             times = np.arange(1, len(positions))
-            on_leaf = (here != ROOT) & (first_children(parent)[here] * 2 > times)
+            on_leaf = (here != ROOT) & (first_children(parent)[here] * s > times)
             assert on_leaf.any()
             assert np.all(positions[1:][on_leaf] == parent[here[on_leaf]])
 
@@ -210,23 +211,79 @@ RUN_IN_CHILD = (
     "hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
 
 
+def kernel_run(monkeypatch, config):
+    """``run(config)`` with its steps taken by the kernel, however short."""
+    assert engine._kernel() is not None
+    monkeypatch.setattr(engine, "_KERNEL_MIN_STEPS", 0)
+    return run(config)
+
+
+def run_draws(config):
+    """The 62-bit draws ``run(config)`` steps on, one per step."""
+    return bit_stream(config.seed).integers(
+        0, engine._DRAW_BOUND, size=config.total_steps, dtype=np.uint64)
+
+
 class TestKernel:
-    # 60 configs, from the 0-step run (N=1) to 280,000-step runs
+    # 90 configs, from the 0-step run (N=1) to 420,000-step runs; s=6 is
+    # an even s above 4, whose walker stands on leaves about half the time
     @needs_gcc
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 63])
-    @pytest.mark.parametrize("n", [1, 2, 37, 3000, 70000])
-    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 3000, 70000])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
     def test_matches_the_python_loop(self, monkeypatch, s, n, seed):
         config = SimConfig(s, n, seed)
-        assert engine._kernel() is not None
-        monkeypatch.setattr(engine, "_KERNEL_MIN_STEPS", 0)  # short runs too
-        parent, positions = run(config)
+        parent, positions = kernel_run(monkeypatch, config)
         monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
         ref_parent, ref_positions = run(config)
         assert parent.dtype == ref_parent.dtype == np.int64
         assert positions.dtype == ref_positions.dtype == np.int32
         assert np.array_equal(parent, ref_parent)
         assert np.array_equal(positions, ref_positions)
+
+    @needs_gcc
+    def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(
+            self, monkeypatch):
+        # s=2, seed 5: the walker reaches the leaf 1 at t=6, where vertex 3
+        # attaches to it; step 7 takes the new edge (draw odd), and step 8
+        # goes from the leaf 3 back to 1
+        config = SimConfig(2, 5, seed=5)
+        parent, positions = kernel_run(monkeypatch, config)
+        assert parent.tolist() == [NO_PARENT, ROOT, ROOT, 1, 1]
+        assert positions.tolist() == [0, 0, 0, 0, 0, 1, 3, 1]
+        assert run_draws(config)[6] % 2 == 1
+        # every such moment of a longer run: the next step reads the draw
+        # against [parent, new child]
+        config = SimConfig(2, 3000, seed=5)
+        parent, positions = kernel_run(monkeypatch, config)
+        draws = run_draws(config)
+        child = np.arange(1, 3000)
+        at = parent[1:]
+        gained = (at != ROOT) & (first_children(parent)[at] == child)
+        gained &= 2 * child < config.total_steps
+        child, at = child[gained], at[gained]
+        assert len(child) > 10
+        to_child = draws[2 * child] % 2 == 1
+        assert to_child.any() and not to_child.all()
+        assert np.array_equal(positions[2 * child],
+                              np.where(to_child, child, parent[at]))
+
+    @needs_gcc
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_the_root_is_never_short_cut(self, monkeypatch, s):
+        config = SimConfig(s, 3000, seed=7)
+        parent, positions = kernel_run(monkeypatch, config)
+        draws = run_draws(config).tolist()
+        assert positions[0] == ROOT  # the forced self-loop at t=1
+        # every step from the root reads its draw against the root's list
+        # then: the self-loop twice and the children attached so far
+        children = np.flatnonzero(parent == ROOT).tolist()
+        stays = 0
+        for i in np.flatnonzero(positions[:-1] == ROOT).tolist():
+            here = [ROOT, ROOT] + [c for c in children if c * s <= i + 1]
+            assert positions[i + 1] == here[draws[i + 1] % len(here)]
+            stays += positions[i + 1] == ROOT
+        assert stays > 1
 
     def test_without_a_compiler_steps_in_python_after_one_note(
             self, monkeypatch, tmp_path, capsys, fresh_loader):
