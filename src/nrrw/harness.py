@@ -11,7 +11,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine, oracles, stats
 from .engine import ROOT, ConfigError, SimConfig
-from .stats import RunStats, collect_run, log_grid
+from .stats import RunRecord, collect_run, log_grid
 
 
 class UsageError(ValueError):
@@ -118,9 +118,10 @@ _NO_BOUNCE = np.empty(0, dtype=np.int32)
 _NO_BOUNCE.flags.writeable = False
 
 
-@dataclass
-class ReplicaSummary:
-    """Picklable per-replica aggregate, merged across replicas by the driver.
+@dataclass(kw_only=True)
+class ReplicaSummary(RunRecord):
+    """Picklable per-replica aggregate, merged across replicas by the driver:
+    the run's ``stats.RunRecord`` plus what the replica adds to it.
 
     ``bounce_anchors`` and ``bounce_tails`` are ``stats.Bounce``'s
     per-anchor ``int32`` arrays (empty unless asked for), so they pickle as
@@ -131,21 +132,14 @@ class ReplicaSummary:
     status: str = "ok"
     clock: int = 0
     vertex_count: int = 0
-    leaf_count: int = 0
-    max_depth: int = 0
-    root_visits: int = 0
-    root_entries: int = 0
-    root_last_visit: int = 0
-    parity_changes: int = 0
     steps_per_second: float = 0.0
-    degree_counts: dict[int, int] = field(default_factory=dict)
-    leaf_series: list[tuple[int, int]] = field(default_factory=list)
-    root_visits_at: list[int] = field(default_factory=list)
-    parity_changes_at: list[int] = field(default_factory=list)
-    renewal_gaps: list[int] = field(default_factory=list)
     bounce_anchors: np.ndarray = field(default_factory=lambda: _NO_BOUNCE)
     bounce_tails: np.ndarray = field(default_factory=lambda: _NO_BOUNCE)
     bounce_runs: list[tuple[int, int]] = field(default_factory=list)
+
+
+# the statistics a summary copies from its run, named once at import
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def run_replica(s: int, nodes: int, seed: int,
@@ -170,21 +164,11 @@ def run_replica(s: int, nodes: int, seed: int,
         seed=seed,
         clock=config.total_steps,
         vertex_count=len(res.parent),
-        leaf_count=res.leaf_count,
-        max_depth=res.max_depth,
-        root_visits=res.root_visits,
-        root_entries=res.root_entries,
-        root_last_visit=res.root_last_visit,
-        parity_changes=res.parity_changes,
         steps_per_second=config.total_steps / elapsed,
-        degree_counts=res.degree_counts,
-        leaf_series=res.leaf_series,
-        root_visits_at=res.root_visits_at,
-        parity_changes_at=res.parity_changes_at,
-        renewal_gaps=res.renewal_gaps,
         bounce_anchors=bounce.anchors if keep_bounce_stats else _NO_BOUNCE,
         bounce_tails=bounce.tails if keep_bounce_stats else _NO_BOUNCE,
         bounce_runs=bounce.runs if keep_bounce_runs else [],
+        **{name: getattr(res, name) for name in _RECORD_FIELDS},
     )
 
 

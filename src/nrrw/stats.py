@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
@@ -37,25 +37,34 @@ class Bounce:
     runs: list[tuple[int, int]]
 
 
-@dataclass
-class RunStats:
+@dataclass(kw_only=True)
+class RunRecord:
+    """The picklable statistics of one run, each declared once here with the
+    value a failed replica keeps. ``collect_run`` fills them and
+    ``harness.ReplicaSummary`` ships them; a new per-run statistic is one
+    field here and one line in ``collect_run``."""
+
+    leaf_count: int = 0
+    max_depth: int = 0
+    root_visits: int = 0
+    root_entries: int = 0
+    root_last_visit: int = 0
+    parity_changes: int = 0
+    degree_counts: dict[int, int] = field(default_factory=dict)
+    leaf_series: list[tuple[int, int]] = field(default_factory=list)
+    root_visits_at: list[int] = field(default_factory=list)
+    parity_changes_at: list[int] = field(default_factory=list)
+    renewal_gaps: list[int] = field(default_factory=list)
+
+
+@dataclass(kw_only=True)
+class RunStats(RunRecord):
     """One run's arrays and the statistics derived from them."""
 
     config: SimConfig
     parent: np.ndarray
     positions: np.ndarray
     visits: np.ndarray
-    leaf_count: int
-    max_depth: int
-    root_visits: int
-    root_entries: int
-    root_last_visit: int
-    parity_changes: int
-    degree_counts: dict[int, int]
-    leaf_series: list[tuple[int, int]]
-    root_visits_at: list[int]
-    parity_changes_at: list[int]
-    renewal_gaps: list[int]
 
     @cached_property
     def bounce(self) -> Bounce:

@@ -38,19 +38,49 @@ def bounce_counts(summary: ReplicaSummary) -> tuple[dict, dict]:
             dict(Counter((d, k) for d, k in zip(anchors, tails) if k)))
 
 
+class Exhausted:
+    """A bit stream whose draws run out of memory: patched in for
+    ``engine.bit_stream``, it makes every replica fail."""
+
+    def integers(self, *args, **kwargs):
+        raise MemoryError
+
+
+# the timings in an experiment's artifacts: each suite's runtime_s
+# (report.json and report.txt) and each replica's steps_per_second
+TIMINGS = re.compile(r'"runtime_s": [0-9.]+|"steps_per_second": '
+                     r'[0-9.e+]+|\([0-9]+\.[0-9]s\)')
+
+
+def file_digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of each file in ``directory`` with its TIMINGS removed."""
+    return {p.name: hashlib.sha256(TIMINGS.sub("", p.read_text()).encode())
+            .hexdigest() for p in sorted(directory.iterdir())}
+
+
+# the summary fields test_summary_pinned hashes, in the order they were
+# pinned; a new field joins the tuple, which changes the pin on purpose
+PINNED_FIELDS = (
+    "seed", "status", "clock", "vertex_count", "leaf_count", "max_depth",
+    "root_visits", "root_entries", "root_last_visit", "parity_changes",
+    "degree_counts", "leaf_series", "root_visits_at", "parity_changes_at",
+    "renewal_gaps", "bounce_anchors", "bounce_tails", "bounce_runs")
+
+
 def summary_digest(summary: ReplicaSummary) -> str:
-    """SHA-256 over every summary field but the timing, dicts in key order
-    and the bounce arrays as ``bounce_counts``' histograms."""
+    """SHA-256 over every summary field but the timing, in the order of
+    ``PINNED_FIELDS``, dicts in key order and the bounce arrays as
+    ``bounce_counts``' histograms."""
+    assert ({f.name for f in dataclasses.fields(summary)}
+            - {"steps_per_second"} == set(PINNED_FIELDS))
     folded = dict(zip(["bounce_anchors", "bounce_tails"],
                       bounce_counts(summary)))
     h = hashlib.sha256()
-    for f in dataclasses.fields(summary):
-        if f.name == "steps_per_second":
-            continue
-        value = folded.get(f.name, getattr(summary, f.name))
+    for name in PINNED_FIELDS:
+        value = folded.get(name, getattr(summary, name))
         if isinstance(value, dict):
             value = sorted(value.items())
-        h.update(json.dumps([f.name, value]).encode())
+        h.update(json.dumps([name, value]).encode())
     return h.hexdigest()
 
 
@@ -155,6 +185,27 @@ class TestReplicaRuns:
             value = getattr(copy, name)
             assert isinstance(value, np.ndarray) and value.dtype == np.int32
             assert value.tolist() == getattr(with_stats, name).tolist()
+
+    def test_pooled_summaries_equal_in_process_ones(self, monkeypatch):
+        flags = dict(keep_bounce_stats=True, keep_bounce_runs=True)
+        names = [f.name for f in dataclasses.fields(ReplicaSummary)
+                 if f.name != "steps_per_second"]
+
+        def values(r):
+            return [v.tolist() if isinstance(v, np.ndarray) else v
+                    for v in (getattr(r, name) for name in names)]
+
+        local = run_cell(2, 2000, 3, 5, jobs=1, **flags)
+        pooled = run_cell(2, 2000, 3, 5, jobs=2, **flags)
+        assert any(r.bounce_runs and r.bounce_tails.any() for r in local)
+        assert [values(r) for r in pooled] == [values(r) for r in local]
+        # a failed replica keeps the record's default in every record field
+        monkeypatch.setattr(engine, "bit_stream", lambda seed: Exhausted())
+        failed, = run_cell(2, 2000, 1, 5, **flags)
+        assert failed.status.startswith("failed(")
+        default = stats.RunRecord()
+        for f in dataclasses.fields(stats.RunRecord):
+            assert getattr(failed, f.name) == getattr(default, f.name), f.name
 
     def test_merge_counters(self):
         merged = merge_counters([{1: 2, 3: 1}, {1: 1}])
@@ -428,10 +479,6 @@ class TestExperimentSpec:
     def test_failed_replica_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NRRW_OUT", raising=False)
 
-        class Exhausted:
-            def integers(self, *args, **kwargs):
-                raise MemoryError
-
         monkeypatch.setattr(engine, "bit_stream", lambda seed: Exhausted())
         spec = ExperimentSpec(cells=[(2, 60)], replicas=2, base_seed=1,
                               output_dir=str(tmp_path / "out"))
@@ -452,11 +499,23 @@ class TestExperimentSpec:
         assert result.exit_code == 1
         assert "[FAIL] 1 replicas failed" in result.output
 
+    def test_run_experiment_artifacts_pinned(self, tmp_path, monkeypatch):
+        # the cell's files but for the TIMINGS, computed at the commit before
+        # the statistics became one record
+        monkeypatch.delenv("NRRW_OUT", raising=False)
+        spec = ExperimentSpec(cells=[(2, 120)], replicas=3, base_seed=4,
+                              output_dir=str(tmp_path))
+        assert harness.run_experiment(spec).passed
+        assert file_digests(tmp_path / "cell_s2_n120") == {
+            "bounces.csv": "50c251a413e88cc082213505930d7466b6782fa296ca1d91edbea2e591a1eaaa",
+            "ccdf.csv": "b4a80d6fc796192633bb4cabbb8cbb983c0b540c0ff78678776f2a6a4c9dd445",
+            "degrees.csv": "9643af46d1332dd1e62cdc4b96a391275e92972137410aee6eac3b0c83799beb",
+            "leaves.csv": "4be3ca012a86f586209b227ac1c82a4e8fe107761d7d8476b776039eeb81afb5",
+            "replicas.jsonl": "8fd899ac24da16634e8e927272e61a9ca22583014c9256a124feb2203dc9d667",
+        }
+
     def test_rerun_artifacts_are_byte_identical(self, tmp_path, monkeypatch):
-        # byte for byte but the timings: each suite's runtime_s (report.json
-        # and report.txt) and each replica's steps_per_second
-        timings = re.compile(r'"runtime_s": [0-9.]+|"steps_per_second": '
-                             r'[0-9.e+]+|\([0-9]+\.[0-9]s\)')
+        # byte for byte but the TIMINGS
         monkeypatch.delenv("NRRW_OUT", raising=False)
         runs = []
         for sub in ("a", "b"):
@@ -466,7 +525,7 @@ class TestExperimentSpec:
                                   output_dir=str(tmp_path / sub))
             assert harness.run_experiment(spec).passed
             runs.append({p.relative_to(tmp_path / sub):
-                         timings.sub("", p.read_text())
+                         TIMINGS.sub("", p.read_text())
                          for p in (tmp_path / sub).rglob("*") if p.is_file()})
         assert len(runs[0]) == 12  # five files per cell, two reports
         assert runs[0] == runs[1]
@@ -485,6 +544,23 @@ class TestCli:
         assert edges[0] == "# nrrw s=2 n=50 seed=3"
         assert edges[1] == "0 0"
         assert (out / "trajectory.csv").exists()
+
+    def test_simulate_artifacts_pinned(self, tmp_path, monkeypatch):
+        # computed at the commit before the statistics became one record;
+        # these files hold no timings
+        monkeypatch.delenv("NRRW_OUT", raising=False)
+        result = CliRunner().invoke(cli.main, [
+            "simulate", "--s", "2", "--nodes", "300", "--seed", "3",
+            "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert file_digests(tmp_path) == {
+            "bounces.csv": "1d1f8177598b4b556d901f54100c857359fc4c472d1a2b8fee5f838ec162711e",
+            "ccdf.csv": "272e0fefcf1db99dfbe434176a8b064c391f7cc41dbf3f8e2afd0ce3c2774817",
+            "degrees.csv": "9f186f94982599c609f2cad437c1d5a7a5d043e50661afdb186ee0c083982f0d",
+            "edges.txt": "9bd05ea1da117d65b97ecdb3832f7d3b65d50fc4e60f68465c89b31159fc996f",
+            "leaves.csv": "ab161eee2be6cf12ea08b17c2a1dc3395a8709f5f10cae264f655fb763db2a7b",
+            "visits.csv": "e5f1bdca627334de33d4944e12c68280eabdac1479436ab57084a21b2e162000",
+        }
 
     def test_simulate_treats_an_empty_nrrw_out_as_unset(self, tmp_path,
                                                          monkeypatch):

@@ -1,6 +1,7 @@
 """Per-run statistics against a reference stepper, empirical distribution
 machinery and serialization."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -123,6 +124,10 @@ class TestReferenceStepper:
             got = run_replica(s, n, seed, grid, cp_grid, keep_bounce_runs=True,
                               keep_bounce_stats=True)
             assert got.status == "ok"
+            # every summary field but the seed, status and timing has an
+            # independent streamed value
+            assert set(want) == {f.name for f in dataclasses.fields(got)} - {
+                "seed", "status", "steps_per_second"}
             for name, value in want.items():
                 got_value = getattr(got, name)
                 if isinstance(got_value, np.ndarray):
