@@ -1,5 +1,6 @@
 /* Step kernel of nrrw.engine.run: the walker on its growing tree, over a
- * run's pre-drawn 62-bit values, in one call that keeps no state after it.
+ * run's pre-drawn 62-bit values, in one call that keeps no state after it;
+ * and the depth pass of nrrw.stats.depths.
  *
  * Each vertex keeps its walk neighbours in draw order, [0, 0, children...]
  * at the root (the self-loop twice) and [parent, children...] elsewhere, so
@@ -80,4 +81,21 @@ int64_t walk(int64_t s, int64_t n, const uint64_t *draws, int64_t total,
     free(v);
     free(has_child);
     return i;
+}
+
+/* Writes the depth of every vertex of a tree of n vertices, given each
+ * vertex's parent, to depth[0..n): one pass in label order, as every parent
+ * is older than its child. Returns 0, or the first v >= 1 whose parent is
+ * not in [0, v), having written depth[0..v) only. */
+int64_t depths(int64_t n, const int64_t *parent, int64_t *depth)
+{
+    if (n > 0)
+        depth[0] = 0;
+    for (int64_t v = 1; v < n; v++) {
+        int64_t p = parent[v];
+        if (p < 0 || p >= v)
+            return v;
+        depth[v] = depth[p] + 1;
+    }
+    return 0;
 }

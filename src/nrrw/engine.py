@@ -214,16 +214,18 @@ def _walk(s: int, n: int, draws: np.ndarray, total: int,
     return total
 
 
-# The kernel is built with the system gcc on the first run in a process,
-# into a per-user cache keyed by the source and the flags, and loaded with
-# ctypes; a process that cannot build it steps in Python, after one note.
+# The kernel is built with the system gcc on first use in a process, into
+# a per-user cache keyed by the source and the flags, and loaded with ctypes;
+# a process that cannot build it steps in Python and takes depths by pointer
+# jumping, after one note.
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 @functools.cache
 def _kernel():
-    """The compiled step kernel, or None when it cannot be built."""
+    """The compiled kernel library, exporting ``walk`` (``run``'s steps) and
+    ``depths`` (``stats.depths``), or None when it cannot be built."""
     try:
         lib = ctypes.CDLL(str(_kernel_library()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -235,6 +237,9 @@ def _kernel():
                          ctypes.POINTER(ctypes.c_int32),
                          ctypes.POINTER(ctypes.c_int64))
     lib.walk.restype = ctypes.c_int64
+    lib.depths.argtypes = (ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
+                           ctypes.POINTER(ctypes.c_int64))
+    lib.depths.restype = ctypes.c_int64
     return lib
 
 

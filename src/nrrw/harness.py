@@ -181,15 +181,23 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
              jobs: int = 1, keep_bounce_runs: bool = False,
              keep_bounce_stats: bool = False) -> list[ReplicaSummary]:
     """Run one (s, nodes) cell; replica order in the result is fixed, so any
-    merge downstream is independent of execution order."""
+    merge downstream is independent of execution order.
+
+    With more than one worker (``min(jobs, replicas)``), the replicas go to
+    a process pool in chunks of ``ceil(replicas / (4 * workers))``, the
+    default of ``multiprocessing.Pool.map``. The kernel is loaded first, so
+    the forked workers inherit it (or its absence, and its one note)."""
     grid = log_grid(min(100, nodes), nodes, snapshot_points)
     cp_grid = log_grid(min(10, nodes), nodes, 10)
     tasks = [(s, nodes, replica_seed(base_seed, cell_index, r), grid, cp_grid,
               keep_bounce_runs, keep_bounce_stats)
              for r in range(replicas)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_worker, tasks))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        engine._kernel()
+        chunk = math.ceil(len(tasks) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_worker, tasks, chunksize=chunk))
     return [run_replica(*t) for t in tasks]
 
 

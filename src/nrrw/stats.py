@@ -4,6 +4,7 @@ the analytic oracles."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import engine
 from .engine import ROOT, SimConfig, run
 
 
@@ -115,9 +117,23 @@ def collect_run(config: SimConfig,
 
 
 def depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex, by pointer jumping: ``depth[v]`` is the
+    """Depth of every vertex. With the kernel, in one pass in label order,
+    as every parent is older than its child (a parent that is not raises
+    ``ValueError``); without it, by pointer jumping: ``depth[v]`` is the
     distance from ``v`` to its ancestor ``up[v]``, and each pass doubles it
     until every ``up`` is the root."""
+    kernel = engine._kernel() if len(parent) else None
+    if kernel:
+        # int64 and C-contiguous for the kernel, held here for the call,
+        # and writable for from_buffer: a read-only parent is copied
+        parent = np.require(parent, np.int64, "CW")
+        depth = np.empty(len(parent), dtype=np.int64)
+        bad = kernel.depths(len(parent), ctypes.c_int64.from_buffer(parent),
+                            ctypes.c_int64.from_buffer(depth))
+        if bad:
+            raise ValueError(f"parent[{bad}] = {parent[bad]} is not an older "
+                             "vertex")
+        return depth
     up = np.maximum(parent, ROOT)
     depth = (up != np.arange(len(up))).astype(np.int64)
     while up.any():

@@ -20,6 +20,7 @@ from nrrw.engine import (
     NO_PARENT, ROOT, ConfigError, PrngStream, ResourceExhausted, SimConfig,
     bit_stream, dot_lines, edge_list_lines, run, trajectory_lines,
 )
+from nrrw.harness import run_cell
 from nrrw.stats import depths, first_children, walk_degrees
 
 from reference import uniform
@@ -286,18 +287,21 @@ class TestKernel:
         assert stays > 1
 
     def test_without_a_compiler_steps_in_python_after_one_note(
-            self, monkeypatch, tmp_path, capsys, fresh_loader):
+            self, monkeypatch, tmp_path, capfd, fresh_loader):
         config = SimConfig(3, 40_000, seed=5)
         expected = run(config)
         engine._kernel.cache_clear()
-        capsys.readouterr()
+        capfd.readouterr()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # first a cell on two workers: capfd also captures their stderr
+        summaries = run_cell(1, 400, 4, 5, jobs=2)
         first, second = run(config), run(config)
         assert engine._kernel() is None
-        note = capsys.readouterr().err.splitlines()
+        note = capfd.readouterr().err.splitlines()
         assert len(note) == 1 and "stepping in Python" in note[0]
+        assert [r.status for r in summaries] == ["ok"] * 4
         for got in (first, second):
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 

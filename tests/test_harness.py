@@ -199,6 +199,30 @@ class TestReplicaRuns:
         pooled = run_cell(2, 2000, 3, 5, jobs=2, **flags)
         assert any(r.bounce_runs and r.bounce_tails.any() for r in local)
         assert [values(r) for r in pooled] == [values(r) for r in local]
+        # 13 replicas on two workers go in chunks of ceil(13 / 8) = 2, the
+        # last chunk holding one
+        calls = []
+
+        class Recorded(harness.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                calls.append(kwargs)
+                super().__init__(**kwargs)
+
+            def map(self, *args, **kwargs):
+                calls.append(kwargs)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+        pooled = run_cell(1, 400, 13, 5, jobs=2)
+        assert calls == [{"max_workers": 2}, {"chunksize": 2}]
+        assert ([values(r) for r in pooled]
+                == [values(r) for r in run_cell(1, 400, 13, 5, jobs=1)])
+        # a cell of fewer than two replicas starts no pool (None would
+        # raise a TypeError)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        assert run_cell(1, 400, 0, 5, jobs=2) == []
+        one, = run_cell(1, 400, 1, 5, jobs=2)
+        assert values(one) == values(pooled[0])
         # a failed replica keeps the record's default in every record field
         monkeypatch.setattr(engine, "bit_stream", lambda seed: Exhausted())
         failed, = run_cell(2, 2000, 1, 5, **flags)

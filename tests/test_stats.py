@@ -3,6 +3,7 @@ machinery and serialization."""
 
 import dataclasses
 import math
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nrrw import engine
 from nrrw.engine import ROOT, PrngStream, SimConfig, run, trajectory_lines
 from nrrw.harness import run_replica
 from nrrw.stats import (
@@ -172,16 +174,33 @@ class TestCollectors:
         leaves = sum(1 for v in range(1, len(res.parent)) if v not in parents)
         assert res.leaf_count == leaves
 
-    @pytest.mark.parametrize("s, n", [(1, 1), (2, 2), (1, 200_000)])
-    def test_depths_match_a_loop_over_the_parents(self, s, n):
+    # the kernel grid's shapes, and a tree over 10,000 levels deep
+    @pytest.mark.parametrize("s, n", [
+        (s, n) for s in (1, 2, 3, 4, 6) for n in (1, 2, 3, 37, 3000, 70000)
+    ] + [(1, 200_000)])
+    def test_depths_match_a_loop_over_the_parents(self, monkeypatch, s, n):
         parent, _ = run(SimConfig(s, n, seed=21))
         par, expected = parent.tolist(), [0] * n
         for v in range(1, n):
             expected[v] = expected[par[v]] + 1
-        depth = depths(parent)
-        assert depth.tolist() == expected
+        read_only = parent.copy()
+        read_only.flags.writeable = False
+        for tree in (parent, read_only, parent.astype(np.int32)):
+            assert depths(tree).tolist() == expected  # the kernel's pass
+        monkeypatch.setattr(engine, "_kernel", lambda: None)
+        assert depths(parent).tolist() == expected  # pointer jumping
         if n == 200_000:
             assert max(expected) > 10_000  # many pointer-jumping passes
+
+    @pytest.mark.skipif(shutil.which("gcc") is None,
+                        reason="no gcc to build the kernel")
+    @pytest.mark.parametrize("bad", [5, 6, 9, 10 ** 9, -1, -7])
+    def test_depths_reject_a_parent_not_older_than_its_vertex(self, bad):
+        parent, _ = run(SimConfig(2, 10, seed=21))
+        parent[5] = bad
+        assert engine._kernel() is not None
+        with pytest.raises(ValueError, match=rf"parent\[5\] = {bad} "):
+            depths(parent)
 
     def test_depth_histogram(self):
         res = collect_run(SimConfig(1, 400, seed=10))
