@@ -76,27 +76,26 @@ class SimConfig:
 _DRAW_BOUND = 1 << 62
 
 
-def bit_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """The PCG64 generator of ``(seed, stream_id)``; distinct ``stream_id``
-    values give independent streams via ``SeedSequence`` spawn keys."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+def bit_stream(seed: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed``: ``SeedSequence(seed)`` with spawn
+    key ``(0,)``, the key every pinned output was drawn with."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 class PrngStream:
     """Deterministic uniform-integer source over ``bit_stream``.
 
-    The same ``(seed, stream_id)`` pair always reproduces the same draw
-    sequence. ``randbelow(n)`` maps a buffered 62-bit draw into ``[0, n)`` by
-    modular reduction; the bias is below ``n * 2**-62``, irrelevant next to
-    the Monte Carlo noise floor of any consumer here, and the mapping is
-    exactly reproducible.
+    The same ``seed`` always reproduces the same draw sequence.
+    ``randbelow(n)`` maps a buffered 62-bit draw into ``[0, n)`` by modular
+    reduction; the bias is below ``n * 2**-62``, irrelevant next to the Monte
+    Carlo noise of any consumer here, and the mapping is exactly reproducible.
     """
 
     _CHUNK = 1 << 15
 
-    def __init__(self, seed: int, stream_id: int = 0):
-        self._gen = bit_stream(seed, stream_id)
+    def __init__(self, seed: int):
+        self._gen = bit_stream(seed)
         self._buf: list[int] = []
         self._pos = 0
 

@@ -172,10 +172,6 @@ def run_replica(s: int, nodes: int, seed: int,
     )
 
 
-def _worker(args) -> ReplicaSummary:
-    return run_replica(*args)
-
-
 def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
              cell_index: int = 0, snapshot_points: int = 20,
              jobs: int = 1, keep_bounce_runs: bool = False,
@@ -197,7 +193,7 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
         engine._kernel()
         chunk = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_worker, tasks, chunksize=chunk))
+            return list(pool.map(run_replica, *zip(*tasks), chunksize=chunk))
     return [run_replica(*t) for t in tasks]
 
 
@@ -590,7 +586,7 @@ def suite_invariants(seed: int = 111):
     failures = []
     cases = [(1, 200), (2, 200), (3, 120), (4, 150), (5, 80), (6, 120)]
     for i, (s, n) in enumerate(cases):
-        config = SimConfig(s, n, seed=seed + i)
+        config = SimConfig(s, n, seed=replica_seed(seed, 0, i))
         errs = check_invariants(config)
         failures.extend(f"s={s} n={n}: {e}" for e in errs)
         lines_a = engine.edge_list_lines(engine.run(config)[0], config)
@@ -645,7 +641,7 @@ def check_invariants(config: SimConfig) -> list[str]:
     degrees = stats.walk_degrees(parent)
     if int(degrees.sum()) != 2 * (n - 1) + 2:
         errors.append("degree sum identity violated")
-    if int(res.visits.sum()) != total:
+    if int(np.bincount(positions, minlength=n).sum()) != total:
         errors.append("visit ledger does not sum to the clock")
     if int(np.sum(degrees[1:] >= 2)) + 1 != n - res.leaf_count:
         errors.append("non-leaf count identity violated")
@@ -738,16 +734,14 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
                         dict(merge_counters([r.degree_counts for r in ok])),
                         stats.leaves_csv(mean_leaf_series(ok), "{:.6f}"),
                         [rl for r in ok for rl in r.bounce_runs])
-        with open(cell_dir / "replicas.jsonl", "w") as f:
-            for r in summaries:
-                f.write(json.dumps({
-                    "seed": r.seed, "status": r.status,
-                    "leaf_fraction": (r.leaf_count / r.vertex_count
-                                      if r.vertex_count else None),
-                    "max_depth": r.max_depth, "root_visits": r.root_visits,
-                    "parity_changes": r.parity_changes,
-                    "steps_per_second": round(r.steps_per_second, 1),
-                }) + "\n")
+        write_lines(cell_dir / "replicas.jsonl", [json.dumps({
+            "seed": r.seed, "status": r.status,
+            "leaf_fraction": (r.leaf_count / r.vertex_count
+                              if r.vertex_count else None),
+            "max_depth": r.max_depth, "root_visits": r.root_visits,
+            "parity_changes": r.parity_changes,
+            "steps_per_second": round(r.steps_per_second, 1),
+        }) for r in summaries])
         cell_reports.append({"cell": [s, nodes], "replicas": spec.replicas,
                              "failed": len(failed)})
     suite_results = [

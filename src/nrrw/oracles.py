@@ -66,16 +66,16 @@ def t_ccdf(s: int, k: int) -> float:
     return float(t_ccdf_exact(s, k))
 
 
-def zeta(a: int, tol: float = 1e-12) -> float:
+def zeta(a: int) -> float:
     """Riemann zeta at integer a >= 2 by partial sum plus integral tail.
 
     The tail past M is M^(1-a)/(a-1) - M^(-a)/2 + err with
     |err| <= a * M^(-a-1) / 12 (Euler-Maclaurin), so M is chosen to push the
-    bound below ``tol``.
+    bound below 1e-12.
     """
     if a < 2:
         raise ValueError("zeta(a) requires a >= 2")
-    m_terms = max(100, math.ceil((a / (12.0 * tol)) ** (1.0 / (a + 1))))
+    m_terms = max(100, math.ceil((a / (12.0 * 1e-12)) ** (1.0 / (a + 1))))
     grid = np.arange(1, m_terms + 1, dtype=np.float64)
     partial = float(np.sum(grid ** (-float(a))))
     tail = m_terms ** (1 - a) / (a - 1) - 0.5 * m_terms ** (-a)
@@ -224,7 +224,6 @@ def star_tail_enumerated(s: int, k: int, variant: str = NON_ROOT) -> Fraction:
 class StarRunResult:
     stop_time: Optional[int]  # None if censored at max_time
     center_degree: int
-    leaves: int
 
 
 def simulate_star(spec: StarProcessSpec, rng: PrngStream) -> StarRunResult:
@@ -251,7 +250,7 @@ def simulate_star(spec: StarProcessSpec, rng: PrngStream) -> StarRunResult:
             at_center = True
         if t % s == 0:
             leaves += 1
-    return StarRunResult(stop, leaves + w, leaves)
+    return StarRunResult(stop, leaves + w)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class RunStats(RunRecord):
     config: SimConfig
     parent: np.ndarray
     positions: np.ndarray
-    visits: np.ndarray
 
     @cached_property
     def bounce(self) -> Bounce:
@@ -100,7 +99,6 @@ def collect_run(config: SimConfig,
 
     return RunStats(
         config=config, parent=parent, positions=positions,
-        visits=np.bincount(positions, minlength=n),
         leaf_count=leaves(n),
         max_depth=int(depths(parent).max()),
         root_visits=len(root_times),
@@ -239,13 +237,10 @@ def empirical_ccdf(counts: dict[int, int], grid: Optional[Iterable[int]] = None
     return [(k, at_least[bisect_left(values, k)] / total) for k in grid]
 
 
-def dkw_margin(n: int, alpha: float = 0.01) -> float:
-    """Half-width sqrt(ln(2/alpha) / (2n)) of the two-sided DKW band at
-    level ``alpha`` around an empirical CDF of ``n`` samples (Massart's
-    constant)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+def dkw_margin(n: int) -> float:
+    """Half-width sqrt(ln(2/0.01) / (2n)) of the two-sided DKW band at level
+    0.01 around an empirical CDF of ``n`` samples (Massart's constant)."""
+    return math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
 
 
 @dataclass
@@ -264,13 +259,12 @@ class DominanceReport:
 
 
 def dominance_check(counts: dict[int, int], grid: Iterable[int],
-                    bound: Callable[[int], float],
-                    alpha: float = 0.01) -> DominanceReport:
+                    bound: Callable[[int], float]) -> DominanceReport:
     """Check that the empirical CCDF of a {value: count} histogram of n
     samples stays below an analytic bound: P(value >= k) <= limit = bound(k)
-    + ``dkw_margin(n, alpha)`` at every k of ``grid``; the points above
-    their limit are the violations."""
-    margin = dkw_margin(sum(counts.values()), alpha)
+    + ``dkw_margin(n)`` at every k of ``grid``; the points above their limit
+    are the violations."""
+    margin = dkw_margin(sum(counts.values()))
     return DominanceReport(margin, [
         (k, p, limit) for k, p in empirical_ccdf(counts, grid)
         if p > (limit := bound(k) + margin)])
@@ -302,6 +296,7 @@ def visits_csv(res: RunStats) -> list[str]:
     """Per vertex: visit count, first visit time (the root is there at
     t=0) and first attachment time; blank when it never happened."""
     n = len(res.parent)
+    visits = np.bincount(res.positions, minlength=n).tolist()
     first_visit = [None] * n
     seen, index = np.unique(res.positions, return_index=True)
     for v, i in zip(seen.tolist(), index.tolist()):
@@ -310,7 +305,7 @@ def visits_csv(res: RunStats) -> list[str]:
     first_child = first_children(res.parent).tolist()
     s = res.config.step_parameter
     lines = ["vertex,count,first_visit,first_attach"]
-    for v, c in enumerate(res.visits.tolist()):
+    for v, c in enumerate(visits):
         fv = first_visit[v]
         fa = first_child[v] * s if first_child[v] < n else ""
         lines.append(f"{v},{c},{'' if fv is None else fv},{fa}")

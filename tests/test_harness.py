@@ -263,6 +263,15 @@ class TestVerificationPlumbing:
         report = verify("invariants")
         assert report.passed
 
+    def test_invariants_suite_takes_the_largest_seed(self):
+        # each case's seed is derived from the suite's, as a cell's replica
+        # seeds are; the suite's seed plus the case index would not fit in
+        # 64 bits
+        assert verify("invariants", seed=2**64 - 1).passed
+        result = CliRunner().invoke(cli.main, [
+            "verify", "--suite", "invariants", "--seed", str(2**64 - 1)])
+        assert result.exit_code == 0, result.output
+
     def test_bounce_suite_reads_the_bounce_statistics(self):
         # run_cell derives them only on request; without them the suite
         # would check nothing and pass
@@ -292,7 +301,7 @@ class TestVerificationPlumbing:
         assert verify(name, **options).suites[0].details == details
 
     def test_bounce_suite_reports_violations(self, monkeypatch):
-        monkeypatch.setattr(stats, "dkw_margin", lambda n, alpha=0.01: -0.05)
+        monkeypatch.setattr(stats, "dkw_margin", lambda n: -0.05)
         result = verify("bounce", nodes=3000, replicas=2, seed=5).suites[0]
         assert not result.passed
         assert result.details["failures"] == [
@@ -389,8 +398,7 @@ class TestBounceRuleOut:
 
     def check(self, monkeypatch, summaries, max_k, margin=None):
         if margin is not None:
-            monkeypatch.setattr(stats, "dkw_margin",
-                                lambda n, alpha=0.01: margin)
+            monkeypatch.setattr(stats, "dkw_margin", lambda n: margin)
         monkeypatch.setattr(harness, "run_cell",
                             lambda *args, **kwargs: summaries)
         details = verify("bounce", max_k=max_k).suites[0].details
@@ -499,6 +507,16 @@ class TestExperimentSpec:
         lines = (cell / "replicas.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["status"] == "ok"
+
+    def test_unwritable_replicas_file_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NRRW_OUT", raising=False)
+        target = tmp_path / "cell_s2_n60" / "replicas.jsonl"
+        target.mkdir(parents=True)
+        spec = ExperimentSpec(cells=[(2, 60)], replicas=1,
+                              output_dir=str(tmp_path))
+        with pytest.raises(OSError, match="cannot write artifact "
+                           + re.escape(str(target))):
+            harness.run_experiment(spec)
 
     def test_failed_replica_fails_the_run(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NRRW_OUT", raising=False)

@@ -115,6 +115,11 @@ def reference_summary(s, n, tree, steps, grid, cp_grid):
     return out, visits
 
 
+def visit_counts(res):
+    """The visit ledger: the count column of ``visits_csv``."""
+    return [int(line.split(",")[1]) for line in visits_csv(res)[1:]]
+
+
 class TestReferenceStepper:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
@@ -136,7 +141,7 @@ class TestReferenceStepper:
                     got_value = got_value.tolist()
                 assert got_value == value, name
             res = collect_run(SimConfig(s, n, seed))
-            assert res.visits.tolist() == ledger
+            assert visit_counts(res) == ledger
             assert res.parent.tolist() == tree.parent
             assert res.positions.tolist() == steps
 
@@ -153,7 +158,7 @@ class TestCollectors:
     def test_minimal_run(self):
         # s=2, N=2: two forced self-loop steps, one attachment to the root
         res = collect_run(SimConfig(2, 2, seed=0))
-        assert res.visits.tolist() == [2, 0]
+        assert visit_counts(res) == [2, 0]
         assert res.root_last_visit == 2
         assert visits_csv(res)[1].endswith(",2")  # first attachment at t=2
         assert res.leaf_count == 1
@@ -166,7 +171,7 @@ class TestCollectors:
         for s in (1, 2, 3):
             config = SimConfig(s, 300, seed=8)
             res = collect_run(config)
-            assert sum(res.visits) == config.total_steps
+            assert sum(visit_counts(res)) == config.total_steps
 
     def test_leaf_count_plus_internal_matches(self):
         res = collect_run(SimConfig(2, 500, seed=9))
@@ -345,18 +350,10 @@ class TestDominance:
         assert bad.worst_violation == pytest.approx(1.0, abs=1e-3)
 
     def test_margin_formula(self):
-        rep = dominance_check({1: 200}, [1], lambda k: 1.0, alpha=0.05)
-        assert rep.margin == pytest.approx(
-            math.sqrt(math.log(2 / 0.05) / 400))
-        assert dkw_margin(200, 0.05) == rep.margin
+        rep = dominance_check({1: 200}, [1], lambda k: 1.0)
+        assert rep.margin == dkw_margin(200)
         assert dkw_margin(200) == pytest.approx(
             math.sqrt(math.log(2 / 0.01) / 400))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            dominance_check({1: 10}, [1], lambda k: 1.0, alpha=2.0)
-        with pytest.raises(ValueError):
-            dkw_margin(10, alpha=0.0)
 
 
 class TestCsv:
