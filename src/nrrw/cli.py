@@ -168,10 +168,11 @@ def export(what, fmt, s, nodes, seed, out):
     """Re-run a deterministic simulation and export one artifact."""
     with _usage_error_on(engine.ConfigError):
         config = SimConfig(s, nodes, seed)
+    if (what == "stats") != (fmt == "csv"):
+        raise click.UsageError("a tree exports as edgelist or dot, stats as "
+                               "csv only")
     path = output_root(out)
     if what == "tree":
-        if fmt == "csv":
-            raise click.UsageError("tree export supports edgelist or dot")
         parent, _ = engine.run(config)
         if fmt == "edgelist":
             write_lines(path / "edges.txt",
@@ -181,8 +182,6 @@ def export(what, fmt, s, nodes, seed, out):
             write_lines(path / "tree.dot", engine.dot_lines(parent))
             click.echo(str(path / "tree.dot"))
     else:
-        if fmt != "csv":
-            raise click.UsageError("stats export supports csv only")
         _write_run_stats(path, collect_run(config, log_grid(min(100, nodes),
                                                             nodes, 20)))
         click.echo(str(path))

@@ -123,8 +123,7 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
     to the same stream. The run's draws come from one ``integers`` call;
     the compiled kernel takes the steps in one call, the Python loop
-    ``_walk`` where the run has fewer than ``_KERNEL_MIN_STEPS`` steps or
-    no kernel could be built. Both give the same arrays.
+    ``_walk`` where no kernel could be built. Both give the same arrays.
 
     The kernel steps off a non-root vertex without a child, whose one
     neighbour is the parent the walker came from, straight back to the
@@ -150,7 +149,7 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         positions = np.empty(total, dtype=np.int32)
         parent = np.full(n, NO_PARENT, dtype=np.int64)
         # a 0-step run has no buffer to hand the kernel
-        kernel = _kernel() if total >= max(_KERNEL_MIN_STEPS, 1) else None
+        kernel = _kernel() if total else None
         if kernel:
             taken = kernel.walk(s, n, ctypes.c_uint64.from_buffer(draws),
                                 total, ctypes.c_int32.from_buffer(positions),
@@ -169,24 +168,17 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return parent, positions
 
 
-# Runs shorter than this step in Python. The kernel costs a few us more per
-# run (one foreign call, three buffer conversions) and about 0.4 us less
-# per step; on a 2-core Xeon VM the two break even at 4 to 8 steps at s=1,
-# 8 at s=2 and 8 to 12 at s=4, and the kernel is faster at every s from 12
-# steps on (300-run batches, 40 alternating rounds; unmoved by the leaf
-# shortcut, which saves nanoseconds a step).
-_KERNEL_MIN_STEPS = 12
 _LIST_DRAWS = 1 << 15
 
 
 def _walk(s: int, n: int, draws: np.ndarray, total: int,
           positions: np.ndarray, parent: np.ndarray) -> int:
     """The stepping loop on Python lists, with the kernel's call shape: the
-    reference the kernel is tested against, and the stepper for short runs
-    and where no kernel could be built. Takes a step per draw, writes the
-    positions to ``positions`` and the attached vertices' parents to
-    ``parent``, and returns the number of steps taken with their
-    attachments, fewer than ``total`` only when out of memory."""
+    reference the kernel is tested against, and the stepper where no
+    kernel could be built. Takes a step per draw, writes the positions to
+    ``positions`` and the attached vertices' parents to ``parent``, and
+    returns the number of steps taken with their attachments, fewer than
+    ``total`` only when out of memory."""
     nb = [[ROOT, ROOT]]
     path: list[int] = []
     record = path.append

@@ -606,6 +606,8 @@ def check_invariants(config: SimConfig) -> list[str]:
     total = config.total_steps
     if len(parent) != n or len(positions) != total:
         return [f"run has {len(parent)} vertices and {len(positions)} steps"]
+    if np.any((positions < 0) | (positions >= n)):
+        return ["walker position outside the vertex labels"]
     labels = np.arange(1, n)
     if np.any((parent[1:] < 0) | (parent[1:] >= labels)):
         errors.append("parent pointer not older than the vertex")
@@ -639,14 +641,8 @@ def check_invariants(config: SimConfig) -> list[str]:
             errors.append(f"attachment parity mixed within epochs "
                           f"{sorted(set(epoch[1:][mixed].tolist()))}")
     degrees = stats.walk_degrees(parent)
-    if int(degrees.sum()) != 2 * (n - 1) + 2:
-        errors.append("degree sum identity violated")
-    if int(np.bincount(positions, minlength=n).sum()) != total:
-        errors.append("visit ledger does not sum to the clock")
     if int(np.sum(degrees[1:] >= 2)) + 1 != n - res.leaf_count:
         errors.append("non-leaf count identity violated")
-    if n >= 2 and degrees[ROOT] < 3:
-        errors.append("root degree below 3 after first attachment")
     return errors
 
 

@@ -206,10 +206,9 @@ RUN_IN_CHILD = (
     "hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
 
 
-def kernel_run(monkeypatch, config):
-    """``run(config)`` with its steps taken by the kernel, however short."""
+def kernel_run(config):
+    """``run(config)`` with its steps taken by the kernel."""
     assert engine._kernel() is not None
-    monkeypatch.setattr(engine, "_KERNEL_MIN_STEPS", 0)
     return run(config)
 
 
@@ -228,7 +227,7 @@ class TestKernel:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
     def test_matches_the_python_loop(self, monkeypatch, s, n, seed):
         config = SimConfig(s, n, seed)
-        parent, positions = kernel_run(monkeypatch, config)
+        parent, positions = kernel_run(config)
         monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
         ref_parent, ref_positions = run(config)
         assert parent.dtype == ref_parent.dtype == np.int64
@@ -236,21 +235,33 @@ class TestKernel:
         assert np.array_equal(parent, ref_parent)
         assert np.array_equal(positions, ref_positions)
 
+    # every shape of 1 to 11 steps up to s=6, each on 20 seeds
     @needs_gcc
-    def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(
-            self, monkeypatch):
+    @pytest.mark.parametrize("s, n", [
+        (s, n) for s in range(1, 7) for n in range(2, 13) if s * (n - 1) < 12])
+    def test_short_runs_match_the_python_loop(self, monkeypatch, s, n):
+        configs = [SimConfig(s, n, seed) for seed in range(20)]
+        runs = [kernel_run(config) for config in configs]
+        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
+        for config, (parent, positions) in zip(configs, runs):
+            ref_parent, ref_positions = run(config)
+            assert np.array_equal(parent, ref_parent)
+            assert np.array_equal(positions, ref_positions)
+
+    @needs_gcc
+    def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(self):
         # s=2, seed 5: the walker reaches the leaf 1 at t=6, where vertex 3
         # attaches to it; step 7 takes the new edge (draw odd), and step 8
         # goes from the leaf 3 back to 1
         config = SimConfig(2, 5, seed=5)
-        parent, positions = kernel_run(monkeypatch, config)
+        parent, positions = kernel_run(config)
         assert parent.tolist() == [NO_PARENT, ROOT, ROOT, 1, 1]
         assert positions.tolist() == [0, 0, 0, 0, 0, 1, 3, 1]
         assert run_draws(config)[6] % 2 == 1
         # every such moment of a longer run: the next step reads the draw
         # against [parent, new child]
         config = SimConfig(2, 3000, seed=5)
-        parent, positions = kernel_run(monkeypatch, config)
+        parent, positions = kernel_run(config)
         draws = run_draws(config)
         child = np.arange(1, 3000)
         at = parent[1:]
@@ -265,9 +276,9 @@ class TestKernel:
 
     @needs_gcc
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_the_root_is_never_short_cut(self, monkeypatch, s):
+    def test_the_root_is_never_short_cut(self, s):
         config = SimConfig(s, 3000, seed=7)
-        parent, positions = kernel_run(monkeypatch, config)
+        parent, positions = kernel_run(config)
         draws = run_draws(config).tolist()
         assert positions[0] == ROOT  # the forced self-loop at t=1
         # every step from the root reads its draw against the root's list
@@ -299,10 +310,10 @@ class TestKernel:
         for got in (first, second):
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
-    def test_short_runs_never_load_the_kernel(self, fresh_loader):
-        run(SimConfig(1, engine._KERNEL_MIN_STEPS, seed=0))  # one step short
+    def test_only_a_run_without_steps_skips_the_kernel(self, fresh_loader):
+        run(SimConfig(1, 1, seed=0))  # no steps, no buffer
         assert engine._kernel.cache_info().currsize == 0
-        run(SimConfig(1, engine._KERNEL_MIN_STEPS + 1, seed=0))
+        run(SimConfig(1, 2, seed=0))  # one step
         assert engine._kernel.cache_info().currsize == 1
 
     def test_cache_directory(self, monkeypatch, tmp_path):

@@ -22,7 +22,7 @@ from nrrw.harness import (
     VerificationReport, check_invariants, mean_leaf_series, merge_counters,
     replica_seed, run_cell, run_replica, verify,
 )
-from nrrw.engine import SimConfig
+from nrrw.engine import ROOT, SimConfig
 from nrrw.stats import log_grid
 
 import reference
@@ -241,10 +241,85 @@ class TestReplicaRuns:
         assert mean_leaf_series([a, b]) == [(10, 6.0)]
 
 
+def truncate(res):
+    res.positions = res.positions[:-1]
+
+
+def misplace(position):
+    def change(res):
+        res.positions[10] = position
+    return change
+
+
+def make_parent(vertex, value):
+    def change(res):
+        res.parent[vertex] = value
+    return change
+
+
+def stay_off_the_root(res):
+    i = int(np.flatnonzero(res.positions != ROOT)[0])
+    res.positions[i + 1] = res.positions[i]
+
+
+def jump_to_the_root(res):
+    # from a grandchild of the root: no edge, and depth + clock flips parity
+    # without a self-loop traversal
+    depth = stats.depths(res.parent)
+    i = int(np.flatnonzero(depth[res.positions] == 2)[0])
+    res.positions[i + 1] = ROOT
+
+
+def regraft_within_an_epoch(res):
+    # vertex v moves up a level while no self-loop traversal separates its
+    # attachment from vertex v - 1's
+    s, pos, parent = 2, res.positions, res.parent
+    v = next(v for v in range(2, len(parent))
+             if ROOT not in pos[(v - 1) * s:v * s])
+    parent[v] = parent[parent[v]]
+
+
+def add_to(name):
+    def change(res):
+        setattr(res, name, getattr(res, name) + 1)
+    return change
+
+
 class TestInvariantChecker:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_clean_runs(self, s):
         assert check_invariants(SimConfig(s, 150, seed=21)) == []
+
+    # one corruption of an s=2, N=150 run per law, each reported by it
+    @pytest.mark.parametrize("change, message", [
+        (truncate, "run has 150 vertices and 297 steps"),
+        (misplace(-1), "walker position outside the vertex labels"),
+        (misplace(150), "walker position outside the vertex labels"),
+        (make_parent(5, 5), "parent pointer not older than the vertex"),
+        (misplace(149), "walker visits a vertex born after the step began"),
+        (stay_off_the_root, "walker stays put away from the root"),
+        (jump_to_the_root, "step does not follow an edge"),
+        (make_parent(50, 49), "attached parent is not the walker's position"),
+        (jump_to_the_root,
+         "parity flips do not coincide with self-loop traversals"),
+        (add_to("parity_changes"),
+         "parity change count differs from self-loop count"),
+        (regraft_within_an_epoch, "attachment parity mixed within epochs"),
+        (add_to("leaf_count"), "non-leaf count identity violated"),
+    ], ids=["truncated", "position-1", "position-n", "parent-not-older",
+            "position-unborn", "stay-off-root", "no-edge", "parent-moved",
+            "parity-flip", "parity-count", "epoch-mixed", "leaf-count"])
+    def test_each_law_reports_its_violation(self, monkeypatch, change,
+                                            message):
+        collect = harness.collect_run
+
+        def corrupted(config):
+            res = collect(config)
+            change(res)
+            return res
+        monkeypatch.setattr(harness, "collect_run", corrupted)
+        errors = check_invariants(SimConfig(2, 150, seed=21))
+        assert any(e.startswith(message) for e in errors), errors
 
 
 class TestVerificationPlumbing:
@@ -652,11 +727,14 @@ class TestCli:
         assert texts[0] == texts[1]
 
     def test_export_rejects_bad_combination(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(cli.main, [
-            "export", "--what", "tree", "--format", "csv",
-            "--s", "2", "--nodes", "10", "--out", str(tmp_path)])
-        assert result.exit_code != 0
+        out = tmp_path / "sub"
+        for what, fmt in [("tree", "csv"), ("stats", "edgelist"),
+                          ("stats", "dot")]:
+            result = CliRunner().invoke(cli.main, [
+                "export", "--what", what, "--format", fmt,
+                "--s", "2", "--nodes", "10", "--out", str(out)])
+            assert result.exit_code == 2, result.output
+            assert not out.exists()  # rejected before any work
 
     @pytest.mark.parametrize("args, message", [
         (["simulate", "--s", "0", "--nodes", "5"], "step_parameter must be"),
