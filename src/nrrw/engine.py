@@ -74,6 +74,7 @@ class SimConfig:
 # 64-bit output per value, so the sequence is the same however many values
 # one call takes.
 _DRAW_BOUND = 1 << 62
+_LOW_HALF = (1 << 64) - 1
 
 
 def bit_stream(seed: int) -> np.random.Generator:
@@ -81,6 +82,15 @@ def bit_stream(seed: int) -> np.random.Generator:
     key ``(0,)``, the key every pinned output was drawn with."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def pcg64_halves(gen: np.random.Generator) -> tuple[int, int, int, int]:
+    """The state and increment of ``gen``'s PCG64 generator, each as its
+    high and low 64-bit halves: what the kernel needs to draw the values
+    ``gen.integers(0, 2**62)`` would."""
+    pcg = gen.bit_generator.state["state"]
+    state, inc = pcg["state"], pcg["inc"]
+    return state >> 64, state & _LOW_HALF, inc >> 64, inc & _LOW_HALF
 
 
 class PrngStream:
@@ -121,9 +131,11 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     children...]`` at the root (the self-loop twice) and ``[parent,
     children...]`` elsewhere, so a step indexes that list with the draw
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
-    to the same stream. The run's draws come from one ``integers`` call;
-    the compiled kernel takes the steps in one call, the Python loop
-    ``_walk`` where no kernel could be built. Both give the same arrays.
+    to the same stream. The compiled kernel takes the steps in one call,
+    stepping the stream's PCG64 generator itself from the state and
+    increment of ``bit_stream(seed)``; where no kernel could be built, the
+    Python loop ``_walk`` steps on one ``integers`` call's draws. Both give
+    the same arrays.
 
     The kernel steps off a non-root vertex without a child, whose one
     neighbour is the parent the walker came from, straight back to the
@@ -144,17 +156,17 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        draws = bit_stream(config.seed).integers(0, _DRAW_BOUND, size=total,
-                                                 dtype=np.uint64)
+        gen = bit_stream(config.seed)
         positions = np.empty(total, dtype=np.int32)
         parent = np.full(n, NO_PARENT, dtype=np.int64)
         # a 0-step run has no buffer to hand the kernel
         kernel = _kernel() if total else None
         if kernel:
-            taken = kernel.walk(s, n, ctypes.c_uint64.from_buffer(draws),
-                                total, ctypes.c_int32.from_buffer(positions),
+            taken = kernel.walk(s, n, *pcg64_halves(gen), total,
+                                ctypes.c_int32.from_buffer(positions),
                                 ctypes.c_int64.from_buffer(parent))
         else:
+            draws = gen.integers(0, _DRAW_BOUND, size=total, dtype=np.uint64)
             taken = _walk(s, n, draws, total, positions, parent)
         if taken < total:
             raise MemoryError
@@ -215,22 +227,24 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 @functools.cache
 def _kernel():
-    """The compiled kernel library, exporting ``walk`` (``run``'s steps) and
-    ``depths`` (``stats.depths``), or None when it cannot be built."""
+    """The compiled kernel library, exporting ``walk`` (``run``'s steps),
+    ``star`` (``oracles.sample_star``) and ``depths`` (``stats.depths``), or
+    None when it cannot be built."""
     try:
         lib = ctypes.CDLL(str(_kernel_library()))
     except (OSError, subprocess.SubprocessError) as exc:
         print(f"nrrw: no C step kernel ({exc}); stepping in Python, "
               "several times slower", file=sys.stderr)
         return None
-    lib.walk.argtypes = (ctypes.c_int64, ctypes.c_int64,
-                         ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64,
-                         ctypes.POINTER(ctypes.c_int32),
-                         ctypes.POINTER(ctypes.c_int64))
-    lib.walk.restype = ctypes.c_int64
-    lib.depths.argtypes = (ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
-                           ctypes.POINTER(ctypes.c_int64))
-    lib.depths.restype = ctypes.c_int64
+    halves = (ctypes.c_uint64,) * 4  # a PCG64 state, as pcg64_halves
+    i64, p_i64 = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
+    lib.walk.argtypes = (i64, i64, *halves, i64,
+                         ctypes.POINTER(ctypes.c_int32), p_i64)
+    lib.walk.restype = i64
+    lib.star.argtypes = (i64, i64, i64, *halves, i64, p_i64, p_i64)
+    lib.star.restype = None
+    lib.depths.argtypes = (i64, p_i64, p_i64)
+    lib.depths.restype = i64
     return lib
 
 

@@ -10,7 +10,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -190,6 +189,9 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
              for r in range(replicas)]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: concurrent.futures loads logging, a few ms that
+        # ``import nrrw`` skips
+        from concurrent.futures import ProcessPoolExecutor
         engine._kernel()
         chunk = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -307,10 +309,8 @@ def suite_star_tail(samples: int = 100_000, seed: int = 2024):
                 if closed != enum:
                     failures.append(f"enumeration mismatch s={s} k={k} "
                                     f"{variant}: {closed} != {enum}")
-    rng = engine.PrngStream(seed)
     spec = oracles.StarProcessSpec(2, oracles.NON_ROOT, max_time=200_001)
-    degrees = Counter(oracles.simulate_star(spec, rng).center_degree
-                      for _ in range(samples))
+    degrees = Counter(oracles.sample_star(spec, seed, samples)[1].tolist())
     worst = 0.0
     tail = stats.empirical_ccdf(degrees, [k + 1 for k in range(1, 11)])
     for k, (_, emp) in enumerate(tail, 1):
@@ -322,10 +322,9 @@ def suite_star_tail(samples: int = 100_000, seed: int = 2024):
                             f"({dev:.1f} sigma)")
     # root variant: probability the first step avoids the parent edge is 1/3
     root_spec = oracles.StarProcessSpec(2, oracles.ROOT_VARIANT, max_time=200_001)
-    rng2 = engine.PrngStream(seed + 1)
     n_first = 20_000
-    leaf_first = sum(oracles.simulate_star(root_spec, rng2).stop_time != 1
-                     for _ in range(n_first))
+    stop, _ = oracles.sample_star(root_spec, seed + 1, n_first)
+    leaf_first = int(np.count_nonzero(stop != 1))
     p_leaf = leaf_first / n_first
     if abs(p_leaf - 1.0 / 3.0) > 3.0 * _binom_sigma(1.0 / 3.0, n_first):
         failures.append(f"root-variant first leaf-step frequency {p_leaf:.4f} "
@@ -346,18 +345,13 @@ def suite_t_distribution(samples: int = 100_000, seed: int = 2025, s: int = 2):
                 failures.append(f"telescoping broken at s={s_chk} K={big_k}")
     cap_k = 20_000
     spec = oracles.StarProcessSpec(s, oracles.NON_ROOT, max_time=2 * cap_k + 2)
-    rng = engine.PrngStream(seed)
-    counts: Counter = Counter()
-    censored = 0
-    for _ in range(samples):
-        res = oracles.simulate_star(spec, rng)
-        if res.stop_time is None:
-            censored += 1
-        else:
-            counts[(res.stop_time - 1) // 2] += 1
+    stop, _ = oracles.sample_star(spec, seed, samples)
+    censored = int(np.count_nonzero(stop == 0))
+    # counts[k]: the runs stopped at time 2k + 1, for k <= cap_k
+    counts = np.bincount((stop[stop > 0] - 1) // 2, minlength=cap_k + 1)
     tv = 0.5 * abs(censored / samples - oracles.t_ccdf(s, cap_k + 1))
-    for k in range(cap_k + 1):
-        tv += 0.5 * abs(counts.get(k, 0) / samples - oracles.t_pmf(s, k))
+    for k, count in enumerate(counts.tolist()):
+        tv += 0.5 * abs(count / samples - oracles.t_pmf(s, k))
     if tv > 0.02:
         failures.append(f"TV distance {tv:.4f} > 0.02 at s={s}")
     return failures, {"tv": tv, "censored": censored, "samples": samples,

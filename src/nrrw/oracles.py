@@ -8,6 +8,7 @@ an explicit rng.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine
 from .engine import PrngStream
 
 NON_ROOT = "non-root"
@@ -251,6 +253,29 @@ def simulate_star(spec: StarProcessSpec, rng: PrngStream) -> StarRunResult:
         if t % s == 0:
             leaves += 1
     return StarRunResult(stop, leaves + w)
+
+
+def sample_star(spec: StarProcessSpec, seed: int, samples: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` trajectories of the star process, one after another on
+    the stream of ``PrngStream(seed)``: each one's stop time (0 where
+    ``simulate_star`` gives None) and centre degree, as two ``int64``
+    arrays. The kernel's ``star`` draws them where it could be built,
+    ``simulate_star`` elsewhere; both give the same values."""
+    stop = np.zeros(samples, dtype=np.int64)
+    degree = np.empty(samples, dtype=np.int64)
+    kernel = engine._kernel() if samples else None
+    if kernel:
+        kernel.star(spec.step_parameter, spec.parent_weight, spec.max_time,
+                    *engine.pcg64_halves(engine.bit_stream(seed)), samples,
+                    ctypes.c_int64.from_buffer(stop),
+                    ctypes.c_int64.from_buffer(degree))
+        return stop, degree
+    rng = PrngStream(seed)
+    for j in range(samples):
+        res = simulate_star(spec, rng)
+        stop[j], degree[j] = res.stop_time or 0, res.center_degree
+    return stop, degree
 
 
 # ---------------------------------------------------------------------------

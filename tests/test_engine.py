@@ -138,28 +138,42 @@ class TestRun:
         seen = []
 
         class Probe:
+            """The run's bit stream, noting whether the collector is on
+            when the run reads it: the kernel reads its state, the Python
+            loop its draws."""
+
             def __init__(self, seed):
                 self.gen = bit_stream(seed)
 
-            def integers(self, *args, **kwargs):
+            def read(self):
                 seen.append(gc.isenabled())
                 if fails:
                     raise MemoryError
-                return self.gen.integers(*args, **kwargs)
+                return self.gen
+
+            @property
+            def bit_generator(self):
+                return self.read().bit_generator
+
+            def integers(self, *args, **kwargs):
+                return self.read().integers(*args, **kwargs)
 
         monkeypatch.setattr(engine, "bit_stream", Probe)
         was = gc.isenabled()
-        (gc.enable if collecting else gc.disable)()
-        try:
-            if fails:
-                with pytest.raises(ResourceExhausted):
+        # with the kernel, if it can be built, then in the Python loop
+        for kernel in (engine._kernel, lambda: None):
+            monkeypatch.setattr(engine, "_kernel", kernel)
+            (gc.enable if collecting else gc.disable)()
+            try:
+                if fails:
+                    with pytest.raises(ResourceExhausted):
+                        run(SimConfig(2, 40_000, seed=3))
+                else:
                     run(SimConfig(2, 40_000, seed=3))
-            else:
-                run(SimConfig(2, 40_000, seed=3))
-            assert gc.isenabled() == collecting
-        finally:
-            (gc.enable if was else gc.disable)()
-        assert seen and not any(seen)
+                assert gc.isenabled() == collecting
+            finally:
+                (gc.enable if was else gc.disable)()
+        assert len(seen) == 2 and not any(seen)
 
     def test_seeds_decorrelate(self):
         p1, _ = run(SimConfig(2, 500, seed=0))
@@ -247,6 +261,22 @@ class TestKernel:
             ref_parent, ref_positions = run(config)
             assert np.array_equal(parent, ref_parent)
             assert np.array_equal(positions, ref_positions)
+
+    # seed 0's generator has all four state halves at 2**63 or above,
+    # seed 2**64 - 1's two of them: the top of the unsigned range that the
+    # kernel's arguments take
+    @needs_gcc
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("s, n", [(1, 2), (2, 3), (1, 5000), (2, 5000),
+                                      (3, 400), (4, 3000), (6, 70)])
+    def test_edge_seeds_match_the_python_loop(self, monkeypatch, s, n, seed):
+        assert max(engine.pcg64_halves(bit_stream(seed))) >= 2 ** 63
+        config = SimConfig(s, n, seed)
+        parent, positions = kernel_run(config)
+        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
+        ref_parent, ref_positions = run(config)
+        assert np.array_equal(parent, ref_parent)
+        assert np.array_equal(positions, ref_positions)
 
     @needs_gcc
     def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(self):
@@ -336,15 +366,19 @@ class TestKernel:
         calls = []
 
         class Kernel:
-            def walk(self, s, n, draws, total, positions, parent):
-                calls.append((gc.isenabled(), s, n, total))
+            def walk(self, s, n, state_hi, state_lo, inc_hi, inc_lo, total,
+                     positions, parent):
+                calls.append((gc.isenabled(), s, n, total,
+                              state_hi << 64 | state_lo, inc_hi << 64 | inc_lo))
                 return 101
 
         monkeypatch.setattr(engine, "_kernel", lambda: Kernel())
         with pytest.raises(ResourceExhausted) as info:
             run(SimConfig(2, 40_000, seed=3))
         assert (info.value.clock, info.value.vertices_built) == (101, 51)
-        assert calls == [(False, 2, 40_000, 79_998)]
+        # the kernel starts from the run's generator, before any draw
+        pcg = bit_stream(3).bit_generator.state["state"]
+        assert calls == [(False, 2, 40_000, 79_998, pcg["state"], pcg["inc"])]
         assert gc.isenabled()
 
     def test_the_python_loop_counts_only_attached_steps(self):

@@ -1,11 +1,15 @@
 """Experiment driver, verification plumbing and the command line interface."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -39,8 +43,13 @@ def bounce_counts(summary: ReplicaSummary) -> tuple[dict, dict]:
 
 
 class Exhausted:
-    """A bit stream whose draws run out of memory: patched in for
+    """A bit stream that runs out of memory when read, for its state (the
+    kernel) or its draws (the Python loop): patched in for
     ``engine.bit_stream``, it makes every replica fail."""
+
+    @property
+    def bit_generator(self):
+        raise MemoryError
 
     def integers(self, *args, **kwargs):
         raise MemoryError
@@ -186,6 +195,18 @@ class TestReplicaRuns:
             assert isinstance(value, np.ndarray) and value.dtype == np.int32
             assert value.tolist() == getattr(with_stats, name).tolist()
 
+    def test_import_loads_neither_the_pool_nor_hashlib(self):
+        # concurrent.futures (and the logging it loads) comes with the
+        # first pool, hashlib with the first kernel load
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, nrrw; print([m for m in ('concurrent.futures', "
+                "'logging', 'hashlib') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (child.stdout, child.stderr) == ("[]\n", "")
+
     def test_pooled_summaries_equal_in_process_ones(self, monkeypatch):
         flags = dict(keep_bounce_stats=True, keep_bounce_runs=True)
         names = [f.name for f in dataclasses.fields(ReplicaSummary)
@@ -203,7 +224,7 @@ class TestReplicaRuns:
         # last chunk holding one
         calls = []
 
-        class Recorded(harness.ProcessPoolExecutor):
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, **kwargs):
                 calls.append(kwargs)
                 super().__init__(**kwargs)
@@ -212,14 +233,15 @@ class TestReplicaRuns:
                 calls.append(kwargs)
                 return super().map(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorded)
         pooled = run_cell(1, 400, 13, 5, jobs=2)
         assert calls == [{"max_workers": 2}, {"chunksize": 2}]
         assert ([values(r) for r in pooled]
                 == [values(r) for r in run_cell(1, 400, 13, 5, jobs=1)])
         # a cell of fewer than two replicas starts no pool (None would
         # raise a TypeError)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert run_cell(1, 400, 0, 5, jobs=2) == []
         one, = run_cell(1, 400, 1, 5, jobs=2)
         assert values(one) == values(pooled[0])
@@ -370,6 +392,11 @@ class TestVerificationPlumbing:
         ("star-tail", {"samples": 3000, "seed": 5},
          {"failures": [], "worst_sigma": 1.5491933384829704,
           "root_first_leaf_freq": 0.3343, "samples": 3000}),
+        # 3000 samples over 20,001 bins: the TV distance fails the 0.02 bound
+        ("t-distribution", {"samples": 3000, "seed": 5},
+         {"failures": ["TV distance 0.0495 > 0.02 at s=2"],
+          "tv": 0.049457971354160364, "censored": 0, "samples": 3000,
+          "s": 2}),
     ])
     def test_suite_details_pinned(self, name, options, details):
         # pinned before the suites' tails moved onto stats.empirical_ccdf

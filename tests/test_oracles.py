@@ -2,12 +2,13 @@
 between independent evaluation routes."""
 
 import math
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nrrw import oracles
+from nrrw import engine, oracles
 from nrrw.engine import PrngStream
 from nrrw.oracles import (
     GEOMETRIC_RETURN_RATE, NON_ROOT, ROOT_VARIANT, StarProcessSpec,
@@ -166,6 +167,32 @@ class TestStarProcess:
         p = t_pmf(4, 0)  # stop at t=1 means T = 2*0+1
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 4 * sigma
+
+    # seeds 0 and 2**64 - 1 put state halves at 2**63 or above; max_time 0,
+    # 1 and 9 censor many runs, 10,001 few
+    @pytest.mark.skipif(shutil.which("gcc") is None,
+                        reason="no gcc to build the kernel")
+    @pytest.mark.parametrize("seed", [0, 5, 123456789, 2 ** 64 - 1])
+    @pytest.mark.parametrize("s", [2, 4])
+    @pytest.mark.parametrize("variant", [NON_ROOT, ROOT_VARIANT])
+    def test_sampler_matches_the_python_simulation(self, monkeypatch, seed,
+                                                   s, variant):
+        assert engine._kernel() is not None
+        for max_time, samples in ((0, 50), (1, 50), (9, 400), (10_001, 2000)):
+            spec = StarProcessSpec(s, variant, max_time)
+            stop, degree = oracles.sample_star(spec, seed, samples)
+            rng = PrngStream(seed)
+            runs = [simulate_star(spec, rng) for _ in range(samples)]
+            assert stop.tolist() == [r.stop_time or 0 for r in runs]
+            assert degree.tolist() == [r.center_degree for r in runs]
+            if max_time == 9:
+                assert 0 < np.count_nonzero(stop == 0) < samples
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_kernel", lambda: None)  # no kernel
+            fallback = oracles.sample_star(spec, seed, samples)
+        assert np.array_equal(fallback[0], stop)
+        assert np.array_equal(fallback[1], degree)
+        assert oracles.sample_star(spec, seed, 0)[0].shape == (0,)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
