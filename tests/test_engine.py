@@ -218,6 +218,20 @@ RUN_IN_CHILD = (
     "p, pos = engine.run(engine.SimConfig(2, 5000, 7)); "
     "print(engine._kernel() is not None, "
     "hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
+# run in a fresh interpreter: the minor page faults of each of four
+# collect_run calls on one 200,000-vertex config
+REPEAT_IN_CHILD = """
+import resource
+from nrrw import engine, stats
+config = engine.SimConfig(2, 200_000, 1)
+grids = stats.log_grid(100, 200_000, 20), stats.log_grid(10, 200_000, 10)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    stats.collect_run(config, *grids)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
 
 
 def kernel_run(config):
@@ -431,6 +445,20 @@ class TestKernel:
         after = libraries[0].stat()
         assert (after.st_ino, after.st_mtime_ns) == (built.st_ino,
                                                      built.st_mtime_ns)
+
+    @needs_gcc
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="glibc's heap thresholds")
+    def test_a_repeated_run_faults_in_no_new_pages(self):
+        # under glibc's adaptive thresholds, every run of this seed after
+        # the second gave its heap back and faulted in about 2,100 pages
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", REPEAT_IN_CHILD],
+                                env=env, capture_output=True, text=True,
+                                timeout=120, check=True)
+        faults = [int(f) for f in result.stdout.split()]
+        assert len(faults) == 4 and max(faults[2:]) < 100, faults
 
 
 class TestExports:
