@@ -3,6 +3,7 @@ and artifact export."""
 
 from __future__ import annotations
 
+import atexit
 import functools
 import inspect
 import json
@@ -178,25 +179,76 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
     """Run one (s, nodes) cell; replica order in the result is fixed, so any
     merge downstream is independent of execution order.
 
-    With more than one worker (``min(jobs, replicas)``), the replicas go to
-    a process pool in chunks of ``ceil(replicas / (4 * workers))``, the
-    default of ``multiprocessing.Pool.map``. The kernel is loaded first, so
-    the forked workers inherit it (or its absence, and its one note)."""
+    With more than one worker (``min(jobs, replicas, os.cpu_count())``), the
+    replicas go to the process's one pool (``_shared_pool``) in chunks of
+    ``ceil(replicas / (4 * workers))``, the default of
+    ``multiprocessing.Pool.map``. A pool that broke since an earlier cell
+    is replaced and the cell run again on the new one; a replica is a pure
+    function of its task, so the summaries are the same."""
     grid = log_grid(min(100, nodes), nodes, snapshot_points)
     cp_grid = log_grid(min(10, nodes), nodes, 10)
     tasks = [(s, nodes, replica_seed(base_seed, cell_index, r), grid, cp_grid,
               keep_bounce_runs, keep_bounce_stats)
              for r in range(replicas)]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        # imported here: concurrent.futures loads logging, a few ms that
-        # ``import nrrw`` skips
-        from concurrent.futures import ProcessPoolExecutor
-        engine._kernel()
-        chunk = math.ceil(len(tasks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [run_replica(*t) for t in tasks]
+    # imported here: concurrent.futures loads logging, a few ms that
+    # ``import nrrw`` skips
+    from concurrent.futures.process import BrokenProcessPool
+    chunk = math.ceil(len(tasks) / (4 * workers))
+    while True:
+        pool, fresh = _shared_pool(workers)
+        try:
             return list(pool.map(run_replica, *zip(*tasks), chunksize=chunk))
-    return [run_replica(*t) for t in tasks]
+        except BrokenProcessPool:
+            shutdown_pool()
+            if fresh:
+                raise
+
+
+# The process pool of pooled cells, kept from the first cell that needs one
+# to interpreter exit unless ``_shared_pool`` replaces it: (executor, its
+# worker count, the kernel its workers were forked with). Each idle worker
+# holds its numpy and kernel pages and the heap its replicas left, up to
+# glibc's 64 MiB trim threshold (``engine._fix_heap_thresholds``).
+_pool: Optional[tuple] = None
+
+
+def _shared_pool(workers: int):
+    """The process's pool of ``workers`` workers and whether it is new.
+
+    The pool is started on first need, after the kernel has loaded, so the
+    forked workers inherit it (or its absence, and its one note). It is
+    replaced when a cell asks for another worker count, or when the kernel
+    loaded now is not the one the workers were forked with, as after
+    ``engine._kernel.cache_clear()``. The workers run the code as it stood
+    when they were forked."""
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor
+    kernel = engine._kernel()
+    if _pool is not None:
+        pool, size, forked_with = _pool
+        if size == workers and forked_with is kernel:
+            return pool, False
+        shutdown_pool()
+    _pool = (ProcessPoolExecutor(max_workers=workers), workers, kernel)
+    return _pool[0], True
+
+
+@atexit.register
+def shutdown_pool():
+    """Stop the process's pool, if one is running, and wait for its
+    workers to exit; the next pooled cell starts a new one.
+
+    Also runs at interpreter exit, after ``concurrent.futures`` has joined
+    the pool's threads and workers: dropping the last reference to the
+    executor there, while the modules its finalizer calls into are still
+    loaded, keeps that finalizer from failing during teardown."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[0], None
+        pool.shutdown()
 
 
 def merge_counters(dicts: Sequence[dict]) -> Counter:

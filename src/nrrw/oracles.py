@@ -34,6 +34,15 @@ def _require_even(s: int):
 # ---------------------------------------------------------------------------
 # Parent-hitting time T
 
+def _blocks(s: int, k: int) -> tuple[int, int]:
+    """``(q, r)`` with ``k = q*(s/2) + r`` and ``0 <= r < s/2``, for even
+    ``s >= 2`` and ``k >= 0``."""
+    _require_even(s)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return divmod(k, s // 2)
+
+
 def t_pmf_exact(s: int, k: int) -> Fraction:
     """P(T = 2k+1) as an exact rational.
 
@@ -42,30 +51,31 @@ def t_pmf_exact(s: int, k: int) -> Fraction:
     k = q*(s/2) + r with 0 <= r < s/2, the mass is
     (1/(q+1))^(s/2) * ((q+1)/(q+2))^r * 1/(q+2).
     """
-    _require_even(s)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    q, r = divmod(k, s // 2)
+    q, r = _blocks(s, k)
     return (Fraction(1, q + 1) ** (s // 2)
             * Fraction(q + 1, q + 2) ** r
             * Fraction(1, q + 2))
 
 
 def t_pmf(s: int, k: int) -> float:
-    return float(t_pmf_exact(s, k))
+    """``float(t_pmf_exact(s, k))``, by one integer true division: Python
+    rounds both correctly, so the bits are the same, without building a
+    ``Fraction``."""
+    q, r = _blocks(s, k)
+    return (q + 1) ** r / ((q + 1) ** (s // 2) * (q + 2) ** (r + 1))
 
 
 def t_ccdf_exact(s: int, k: int) -> Fraction:
     """P(T >= 2k+1) as an exact rational."""
-    _require_even(s)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    q, r = divmod(k, s // 2)
+    q, r = _blocks(s, k)
     return Fraction(1, q + 1) ** (s // 2) * Fraction(q + 1, q + 2) ** r
 
 
 def t_ccdf(s: int, k: int) -> float:
-    return float(t_ccdf_exact(s, k))
+    """``float(t_ccdf_exact(s, k))``, by one integer true division, as
+    ``t_pmf``."""
+    q, r = _blocks(s, k)
+    return (q + 1) ** r / ((q + 1) ** (s // 2) * (q + 2) ** r)
 
 
 def zeta(a: int) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrrw import engine
+from nrrw import engine, harness
 from nrrw.engine import (
     NO_PARENT, ROOT, ConfigError, PrngStream, ResourceExhausted, SimConfig,
     bit_stream, dot_lines, edge_list_lines, run, trajectory_lines,
@@ -339,18 +339,26 @@ class TestKernel:
             self, monkeypatch, tmp_path, capfd, fresh_loader):
         config = SimConfig(3, 40_000, seed=5)
         expected = run(config)
+        # a pool forked with the kernel, as an earlier test may leave
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_cell(1, 400, 4, 5, jobs=2)
+        with_kernel = set(harness._pool[0]._processes)
         engine._kernel.cache_clear()
         capfd.readouterr()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        # first a cell on two workers: capfd also captures their stderr
+        # first a cell on two workers, forked without the kernel in place
+        # of that pool's: capfd also captures their stderr
         summaries = run_cell(1, 400, 4, 5, jobs=2)
+        assert harness._pool[2] is None
+        assert not with_kernel & set(harness._pool[0]._processes)
         first, second = run(config), run(config)
         assert engine._kernel() is None
         note = capfd.readouterr().err.splitlines()
         assert len(note) == 1 and "stepping in Python" in note[0]
         assert [r.status for r in summaries] == ["ok"] * 4
+        harness.shutdown_pool()  # its workers step in Python
         for got in (first, second):
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -138,6 +139,45 @@ class TestSeedDerivation:
         assert before == after
 
 
+# the environment of a fresh interpreter that imports nrrw from this tree
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"),
+     os.environ.get("PYTHONPATH", "")])}
+# the summary fields a pooled cell must carry unchanged: all but the timing
+VALUE_FIELDS = [f.name for f in dataclasses.fields(ReplicaSummary)
+                if f.name != "steps_per_second"]
+
+
+def values(summary: ReplicaSummary) -> list:
+    return [v.tolist() if isinstance(v, np.ndarray) else v
+            for v in (getattr(summary, name) for name in VALUE_FIELDS)]
+
+
+def recorded_pool(calls: list):
+    """A ``ProcessPoolExecutor`` that appends the keyword arguments of its
+    construction and of each ``map`` call to ``calls``."""
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            calls.append(kwargs)
+            super().__init__(**kwargs)
+
+        def map(self, *args, **kwargs):
+            calls.append(kwargs)
+            return super().map(*args, **kwargs)
+    return Recorded
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Stop the process's pool before and after the test, so the test
+    starts its own and later tests do not inherit it; two CPUs, so that a
+    cell on two workers starts a pool on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    harness.shutdown_pool()
+    yield
+    harness.shutdown_pool()
+
+
 class TestReplicaRuns:
     def test_summary_fields(self):
         summary = run_replica(2, 200, seed=1, snapshot_grid=[100, 200])
@@ -198,50 +238,35 @@ class TestReplicaRuns:
     def test_import_loads_neither_the_pool_nor_hashlib(self):
         # concurrent.futures (and the logging it loads) comes with the
         # first pool, hashlib with the first kernel load
-        src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys, nrrw; print([m for m in ('concurrent.futures', "
                 "'logging', 'hashlib') if m in sys.modules])")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")])}
-        child = subprocess.run([sys.executable, "-c", code], env=env,
+        child = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
                                capture_output=True, text=True, timeout=60)
         assert (child.stdout, child.stderr) == ("[]\n", "")
 
-    def test_pooled_summaries_equal_in_process_ones(self, monkeypatch):
+    def test_pooled_summaries_equal_in_process_ones(self, monkeypatch,
+                                                   fresh_pool):
         flags = dict(keep_bounce_stats=True, keep_bounce_runs=True)
-        names = [f.name for f in dataclasses.fields(ReplicaSummary)
-                 if f.name != "steps_per_second"]
-
-        def values(r):
-            return [v.tolist() if isinstance(v, np.ndarray) else v
-                    for v in (getattr(r, name) for name in names)]
-
+        calls = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recorded_pool(calls))
         local = run_cell(2, 2000, 3, 5, jobs=1, **flags)
         pooled = run_cell(2, 2000, 3, 5, jobs=2, **flags)
         assert any(r.bounce_runs and r.bounce_tails.any() for r in local)
         assert [values(r) for r in pooled] == [values(r) for r in local]
-        # 13 replicas on two workers go in chunks of ceil(13 / 8) = 2, the
-        # last chunk holding one
-        calls = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, **kwargs):
-                calls.append(kwargs)
-                super().__init__(**kwargs)
-
-            def map(self, *args, **kwargs):
-                calls.append(kwargs)
-                return super().map(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recorded)
-        pooled = run_cell(1, 400, 13, 5, jobs=2)
-        assert calls == [{"max_workers": 2}, {"chunksize": 2}]
-        assert ([values(r) for r in pooled]
-                == [values(r) for r in run_cell(1, 400, 13, 5, jobs=1)])
-        # a cell of fewer than two replicas starts no pool (None would
-        # raise a TypeError)
+        # later cells of other shapes reuse the one pool; 13 replicas on two
+        # workers go in chunks of ceil(13 / 8) = 2, the last chunk holding
+        # one, and 20 in chunks of 3
+        for s, nodes, replicas in [(1, 400, 13), (2, 300, 20), (1, 400, 2)]:
+            pooled = run_cell(s, nodes, replicas, 5, jobs=2)
+            assert ([values(r) for r in pooled] == [
+                values(r) for r in run_cell(s, nodes, replicas, 5, jobs=1)])
+        assert calls == [{"max_workers": 2}, {"chunksize": 1},
+                         {"chunksize": 2}, {"chunksize": 3}, {"chunksize": 1}]
+        # a cell of fewer than two replicas uses no pool (None would raise
+        # a TypeError)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        harness.shutdown_pool()
         assert run_cell(1, 400, 0, 5, jobs=2) == []
         one, = run_cell(1, 400, 1, 5, jobs=2)
         assert values(one) == values(pooled[0])
@@ -252,6 +277,68 @@ class TestReplicaRuns:
         default = stats.RunRecord()
         for f in dataclasses.fields(stats.RunRecord):
             assert getattr(failed, f.name) == getattr(default, f.name), f.name
+
+    def test_a_killed_worker_is_replaced(self, monkeypatch, fresh_pool):
+        calls = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recorded_pool(calls))
+        expected = [values(r) for r in run_cell(1, 400, 9, 5, jobs=1)]
+        assert [values(r) for r in run_cell(1, 400, 9, 5, jobs=2)] == expected
+        old = set(harness._pool[0]._processes)
+        os.kill(min(old), signal.SIGKILL)
+        assert [values(r) for r in run_cell(1, 400, 9, 5, jobs=2)] == expected
+        # the map on the broken pool fails, then the cell runs on a new one
+        assert calls == [{"max_workers": 2}, {"chunksize": 2},
+                         {"chunksize": 2},
+                         {"max_workers": 2}, {"chunksize": 2}]
+        assert not old & set(harness._pool[0]._processes)
+
+    def test_workers_never_outnumber_the_cpus(self, monkeypatch, fresh_pool):
+        # a stub pool that maps in this process: no worker is started
+        made = []
+
+        class Stub:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                made.append("shutdown")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        expected = [values(r) for r in run_cell(1, 50, 8, 5, jobs=1)]
+        assert [values(r) for r in run_cell(1, 50, 8, 5,
+                                            jobs=100_000)] == expected
+        run_cell(1, 50, 2, 5, jobs=100_000)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one
+        assert [values(r) for r in run_cell(1, 50, 8, 5,
+                                            jobs=100_000)] == expected
+        assert made == [3, "shutdown", 2]
+
+    def test_exit_stops_the_workers(self):
+        # in a fresh interpreter: cells in process load no pool module; a
+        # pooled cell's workers are gone once the interpreter has exited,
+        # and the exit prints nothing
+        code = ("import os, sys; from nrrw import harness; "
+                "os.cpu_count = lambda: 2; "
+                "harness.run_cell(1, 400, 1, 5, jobs=2); "
+                "harness.run_cell(1, 400, 3, 5, jobs=1); "
+                "print('concurrent.futures' in sys.modules); "
+                "harness.run_cell(1, 400, 6, 5, jobs=2); "
+                "print(*harness._pool[0]._processes)")
+        child = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV,
+                               capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stderr) == (0, "")
+        loaded, pids = child.stdout.splitlines()
+        assert loaded == "False"
+        pids = [int(p) for p in pids.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_merge_counters(self):
         merged = merge_counters([{1: 2, 3: 1}, {1: 1}])

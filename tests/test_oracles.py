@@ -43,6 +43,18 @@ class TestHittingTimePmf:
         assert t_ccdf(2, 1) == 0.5
 
     @pytest.mark.parametrize("s", [2, 4, 6, 8])
+    def test_floats_are_the_rounded_exact_values(self, s):
+        # every k criterion 2's total variation reads, so its pinned tv
+        # keeps its bits
+        for k in range(20_001):
+            assert t_pmf(s, k) == float(t_pmf_exact(s, k)), k
+            assert t_ccdf(s, k) == float(t_ccdf_exact(s, k)), k
+        with pytest.raises(ValueError):
+            t_pmf(3, 0)
+        with pytest.raises(ValueError):
+            t_ccdf(s, -1)
+
+    @pytest.mark.parametrize("s", [2, 4, 6, 8])
     def test_pmf_is_ccdf_difference(self, s):
         for k in range(40):
             assert (t_ccdf_exact(s, k) - t_ccdf_exact(s, k + 1)
