@@ -45,7 +45,8 @@ def simulate(s, nodes, seed, trajectory, out):
     the trajectory."""
     with _usage_error_on(engine.ConfigError):
         config = SimConfig(s, nodes, seed)
-    res = collect_run(config, log_grid(min(100, nodes), nodes, 20))
+    res = collect_run(config, log_grid(min(100, nodes), nodes, 20),
+                      bounce=True)
     path = output_root(out)
     write_lines(path / "edges.txt", engine.edge_list_lines(res.parent, config))
     _write_run_stats(path, res)
@@ -182,8 +183,8 @@ def export(what, fmt, s, nodes, seed, out):
             write_lines(path / "tree.dot", engine.dot_lines(parent))
             click.echo(str(path / "tree.dot"))
     else:
-        _write_run_stats(path, collect_run(config, log_grid(min(100, nodes),
-                                                            nodes, 20)))
+        _write_run_stats(path, collect_run(
+            config, log_grid(min(100, nodes), nodes, 20), bounce=True))
         click.echo(str(path))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import gc
+import math
 import os
 import shutil
 import subprocess
@@ -120,7 +121,77 @@ class PrngStream:
         return buf[pos] % n
 
 
-def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+# A room for the kernel of this many bytes or more is a fresh mapping, not
+# heap memory: glibc's default mmap threshold, which _fix_heap_thresholds
+# raises for the heap.
+_MAPPED_ROOM = 128 << 10
+
+
+class Tally(ctypes.Structure):
+    """What the kernel's ``walk`` takes of a run as it steps, and the room
+    it writes into: ``tally`` in ``_walk.c``, whose comment says what each
+    field holds. The grids and the short arrays the kernel fills are views
+    of one ``int64`` array, the bounce arrays of one ``int32`` array, and
+    the renewal gaps have an array of their own. ``views`` keeps each by
+    field name: the tally holds only their addresses, so they live as long
+    as it does. ``run`` sets ``filled`` when the kernel took the run's
+    steps, and so wrote the rest."""
+
+    _fields_ = ([(name, ctypes.c_void_p) for name in ("sizes", "checkpoints")]
+                + [(name, ctypes.c_int64)
+                   for name in ("n_sizes", "n_checkpoints")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "anchors", "tails", "leaves_at", "visits_at", "loops_at",
+                    "neutral_gaps", "degrees", "degree_counts")]
+                + [(name, ctypes.c_int64) for name in (
+                    "neutral", "n_degrees", "leaf_count", "max_depth",
+                    "root_visits", "loops", "root_last_visit")])
+    filled = False
+
+    def __init__(self, config: SimConfig, sizes: list[int],
+                 checkpoints: list[int], bounce: bool):
+        """Room for the statistics of ``config``'s run: the leaf count at
+        each vertex count of ``sizes``, the root's counts at each of
+        ``checkpoints`` (both ascending, from 1 to the target size), and the
+        bounce arrays if ``bounce``."""
+        super().__init__(n_sizes=len(sizes), n_checkpoints=len(checkpoints))
+        s, n = config.step_parameter, config.target_nodes
+        # distinct walk degrees d_1 < d_2 < ... sum to at most 2n
+        distinct = math.isqrt(4 * n) + 1
+        self.views: dict[str, np.ndarray] = {}
+        self._place(np.int64, sizes=len(sizes), checkpoints=len(checkpoints),
+                    leaves_at=len(sizes), visits_at=len(checkpoints),
+                    loops_at=len(checkpoints), degrees=distinct,
+                    degree_counts=distinct)
+        # one entry per leaf-neutral vertex: up to n - 2, but at even s a
+        # few hundred. A large room is a fresh mapping, of which only the
+        # pages the kernel writes become resident.
+        gaps = max(n - 2, 0)
+        if 8 * gaps >= _MAPPED_ROOM:
+            import mmap  # only for large runs: ``import nrrw`` skips it
+            room = np.frombuffer(mmap.mmap(-1, 8 * gaps), dtype=np.int64)
+        else:
+            room = np.empty(gaps, dtype=np.int64)
+        self.views["neutral_gaps"] = room
+        self.neutral_gaps = room.ctypes.data
+        if bounce:
+            anchors = len(range(s + s % 2, config.total_steps + 1, 2))
+            self._place(np.int32, anchors=anchors, tails=anchors)
+        self.views["sizes"][:] = sizes
+        self.views["checkpoints"][:] = checkpoints
+
+    def _place(self, dtype, **lengths: int):
+        """One array of ``dtype``, cut into fields of these lengths."""
+        room = np.empty(sum(lengths.values()), dtype=dtype)
+        address, start = room.ctypes.data, 0
+        for name, length in lengths.items():
+            self.views[name] = room[start:start + length]
+            setattr(self, name, address + start * room.itemsize)
+            start += length
+
+
+def run(config: SimConfig, tally: Tally | None = None
+        ) -> tuple[np.ndarray, np.ndarray]:
     """Execute a full run: ``s * (N - 1)`` steps, attaching vertices 1..N-1.
 
     Returns ``(parent, positions)``: ``parent[v]`` is the vertex ``v`` was
@@ -144,6 +215,14 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     steps start on a leaf. The step still uses up its draw, as ``r % 1``
     in ``_walk`` does, so each later step reads the same draw.
 
+    With a ``tally``, the kernel also takes the run's statistics as it
+    steps, from what its loop holds (``_walk.c`` says how), and ``run``
+    marks the tally ``filled``. The Python loop takes none: where it steps,
+    ``stats.derive_record`` derives them from the arrays. A new statistic is
+    therefore a kernel tally, its numpy derivation, which criterion 9 and
+    the kernel tests hold the tally to, and its streamed value in the tests'
+    reference summary.
+
     The cyclic garbage collector is off while the steps run (and back on
     after them only if the caller had it on): the Python loop allocates one
     list per attached vertex, which would trigger collections, and makes no
@@ -164,7 +243,9 @@ def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         if kernel:
             taken = kernel.walk(s, n, *pcg64_halves(gen), total,
                                 ctypes.c_int32.from_buffer(positions),
-                                ctypes.c_int64.from_buffer(parent))
+                                ctypes.c_int64.from_buffer(parent), tally)
+            if tally is not None:
+                tally.filled = taken == total
         else:
             draws = gen.integers(0, _DRAW_BOUND, size=total, dtype=np.uint64)
             taken = _walk(s, n, draws, total, positions, parent)
@@ -240,7 +321,8 @@ def _kernel():
     halves = (ctypes.c_uint64,) * 4  # a PCG64 state, as pcg64_halves
     i64, p_i64 = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
     lib.walk.argtypes = (i64, i64, *halves, i64,
-                         ctypes.POINTER(ctypes.c_int32), p_i64)
+                         ctypes.POINTER(ctypes.c_int32), p_i64,
+                         ctypes.POINTER(Tally))
     lib.walk.restype = i64
     lib.star.argtypes = (i64, i64, i64, *halves, i64, p_i64, p_i64)
     lib.star.restype = None

@@ -148,17 +148,18 @@ def run_replica(s: int, nodes: int, seed: int,
                 keep_bounce_runs: bool = False,
                 keep_bounce_stats: bool = False) -> ReplicaSummary:
     config = SimConfig(s, nodes, seed)
+    # two arrays with one entry per even time; suites that never read the
+    # bounce statistics skip taking and shipping them
+    keep_bounce = keep_bounce_stats or keep_bounce_runs
     t0 = time.perf_counter()
     try:
-        res = collect_run(config, snapshot_grid, checkpoint_grid)
+        res = collect_run(config, snapshot_grid, checkpoint_grid, keep_bounce)
     except engine.ResourceExhausted as exc:
         return ReplicaSummary(seed=seed,
                               status=f"failed({exc})",
                               clock=exc.clock,
                               vertex_count=exc.vertices_built)
-    # two arrays with one entry per even time; suites that never read the
-    # bounce statistics skip deriving and shipping them
-    bounce = res.bounce if keep_bounce_stats or keep_bounce_runs else None
+    bounce = res.bounce if keep_bounce else None
     elapsed = max(time.perf_counter() - t0, 1e-9)
     return ReplicaSummary(
         seed=seed,
@@ -190,7 +191,9 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
     tasks = [(s, nodes, replica_seed(base_seed, cell_index, r), grid, cp_grid,
               keep_bounce_runs, keep_bounce_stats)
              for r in range(replicas)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks))
+    if workers > 1:  # asked only where a pool could start: 5 us a call
+        workers = min(workers, os.cpu_count() or 1)
     if workers < 2:
         return [run_replica(*t) for t in tasks]
     # imported here: concurrent.futures loads logging, a few ms that
@@ -643,11 +646,14 @@ def suite_invariants(seed: int = 111):
 
 
 def check_invariants(config: SimConfig) -> list[str]:
-    """Run ``config`` and check its arrays against the process's exact laws;
+    """Run ``config`` and check its arrays against the process's exact laws,
+    and every statistic of its record, which the kernel takes as it steps,
+    against ``stats.derive_record`` of the arrays, on ``run_cell``'s grids;
     returns violation messages."""
     errors: list[str] = []
     s, n = config.step_parameter, config.target_nodes
-    res = collect_run(config)
+    grids = log_grid(min(100, n), n, 20), log_grid(min(10, n), n, 10)
+    res = collect_run(config, *grids)
     parent, positions = res.parent, res.positions
     total = config.total_steps
     if len(parent) != n or len(positions) != total:
@@ -689,6 +695,9 @@ def check_invariants(config: SimConfig) -> list[str]:
     degrees = stats.walk_degrees(parent)
     if int(np.sum(degrees[1:] >= 2)) + 1 != n - res.leaf_count:
         errors.append("non-leaf count identity violated")
+    derived = stats.derive_record(config, parent, positions, *grids)
+    errors.extend(f"{name} differs from the arrays" for name in _RECORD_FIELDS
+                  if getattr(res, name) != getattr(derived, name))
     return errors
 
 

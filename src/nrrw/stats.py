@@ -1,6 +1,6 @@
-"""Per-run statistics, derived as array passes over a run's parent and
-position arrays, and the statistical checks that confront empirical data with
-the analytic oracles."""
+"""Per-run statistics, taken by the step kernel as it walks or derived as
+array passes over a run's parent and position arrays, and the statistical
+checks that confront empirical data with the analytic oracles."""
 
 from __future__ import annotations
 
@@ -42,9 +42,13 @@ class Bounce:
 @dataclass(kw_only=True)
 class RunRecord:
     """The picklable statistics of one run, each declared once here with the
-    value a failed replica keeps. ``collect_run`` fills them and
-    ``harness.ReplicaSummary`` ships them; a new per-run statistic is one
-    field here and one line in ``collect_run``."""
+    value a failed replica keeps. ``collect_run`` fills them, from the
+    kernel's tallies (``tallied_record``) or, where no kernel took the
+    steps, from the arrays (``derive_record``), and ``harness.ReplicaSummary``
+    ships them. A new per-run statistic is a field here, a tally in the
+    kernel read by ``tallied_record``, its numpy derivation in
+    ``derive_record``, which criterion 9 and the kernel tests hold the tally
+    to, and its streamed value in the tests' reference summary."""
 
     leaf_count: int = 0
     max_depth: int = 0
@@ -61,7 +65,7 @@ class RunRecord:
 
 @dataclass(kw_only=True)
 class RunStats(RunRecord):
-    """One run's arrays and the statistics derived from them."""
+    """One run's arrays and its statistics."""
 
     config: SimConfig
     parent: np.ndarray
@@ -69,22 +73,83 @@ class RunStats(RunRecord):
 
     @cached_property
     def bounce(self) -> Bounce:
+        """Derived from the arrays on first access, unless ``collect_run``
+        took them with the rest."""
         return bounce_statistics(self.config.step_parameter, self.parent,
                                  self.positions)
 
 
 def collect_run(config: SimConfig,
                 snapshot_grid: Optional[Sequence[int]] = None,
-                checkpoint_grid: Optional[Sequence[int]] = None) -> RunStats:
-    """Run a simulation and derive its statistics.
+                checkpoint_grid: Optional[Sequence[int]] = None,
+                bounce: bool = False) -> RunStats:
+    """Run a simulation and take its statistics.
 
     ``snapshot_grid`` and ``checkpoint_grid`` are vertex counts ``g``: the
     leaf count is taken when the tree has ``g`` vertices, and the root
     visits and self-loop traversals over the first s*(g-1) steps, after
     which vertex ``g - 1`` attaches. Points above the target size are
-    skipped. Bounce statistics are derived on first access.
+    skipped.
+
+    The kernel takes every statistic as it steps, and with ``bounce`` the
+    bounce statistics too (``engine.Tally``). Where it does not take the
+    steps (no kernel could be built, or the run has none), ``derive_record``
+    derives them from the arrays. Bounce statistics not taken are derived
+    from the arrays on first access.
     """
-    parent, positions = run(config)
+    n = config.target_nodes
+    sizes = [g for g in sorted(set(snapshot_grid or [])) if g <= n]
+    checkpoints = [max(g, 1) for g in sorted(set(checkpoint_grid or []))
+                   if g <= n]
+    tally = engine.Tally(config, [max(g, 1) for g in sizes], checkpoints,
+                         bounce)
+    parent, positions = run(config, tally)
+    if tally.filled:
+        record = tallied_record(tally, sizes)
+    else:
+        record = derive_record(config, parent, positions, snapshot_grid,
+                               checkpoint_grid)
+    res = RunStats(config=config, parent=parent, positions=positions,
+                   **vars(record))
+    if tally.filled and bounce:
+        anchors, tails = tally.views["anchors"], tally.views["tails"]
+        # a run is followed from the anchor before its first return on,
+        # counting down: it starts at a positive tail after a zero one
+        start = tails > 0
+        start[1:] &= tails[:-1] == 0
+        res.bounce = Bounce(anchors, tails, list(zip(
+            anchors[start].tolist(), tails[start].tolist())))
+    return res
+
+
+def tallied_record(tally: engine.Tally, sizes: Sequence[int]) -> RunRecord:
+    """The record of a run from the tallies the kernel took of it; ``sizes``
+    are the vertex counts of the leaf series."""
+    views = tally.views
+    degrees = slice(tally.n_degrees)
+    return RunRecord(
+        leaf_count=tally.leaf_count,
+        max_depth=tally.max_depth,
+        root_visits=tally.root_visits,
+        root_entries=tally.root_visits - tally.loops,
+        root_last_visit=tally.root_last_visit,
+        parity_changes=tally.loops,
+        degree_counts=dict(zip(views["degrees"][degrees].tolist(),
+                               views["degree_counts"][degrees].tolist())),
+        leaf_series=list(zip(sizes, views["leaves_at"].tolist())),
+        root_visits_at=views["visits_at"].tolist(),
+        parity_changes_at=views["loops_at"].tolist(),
+        renewal_gaps=views["neutral_gaps"][1:tally.neutral].tolist(),
+    )
+
+
+def derive_record(config: SimConfig, parent: np.ndarray, positions: np.ndarray,
+                  snapshot_grid: Optional[Sequence[int]] = None,
+                  checkpoint_grid: Optional[Sequence[int]] = None
+                  ) -> RunRecord:
+    """The record of a run derived with numpy passes over its arrays, on the
+    grids of ``collect_run``: its statistics where no kernel took the steps,
+    and the reference criterion 9 holds the kernel's tallies to."""
     s, n = config.step_parameter, config.target_nodes
     at_root = positions == ROOT
     loops = at_root & np.concatenate(([True], at_root[:-1]))
@@ -97,8 +162,7 @@ def collect_run(config: SimConfig,
     def leaves(m: int) -> int:  # among vertices 0 .. m - 1: newcomers less
         return m - 1 - int(np.searchsorted(neutral, m - 1, side="right"))
 
-    return RunStats(
-        config=config, parent=parent, positions=positions,
+    return RunRecord(
         leaf_count=leaves(n),
         max_depth=int(depths(parent).max()),
         root_visits=len(root_times),

@@ -1,6 +1,7 @@
 """Core engine: configuration, stepping rules, tree structure,
 determinism and exports."""
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrrw import engine, harness
+from nrrw import engine, harness, stats
 from nrrw.engine import (
     NO_PARENT, ROOT, ConfigError, PrngStream, ResourceExhausted, SimConfig,
     bit_stream, dot_lines, edge_list_lines, run, trajectory_lines,
@@ -240,6 +241,35 @@ def kernel_run(config):
     return run(config)
 
 
+def collect(config):
+    """``stats.collect_run(config)`` on ``run_cell``'s grids, with the
+    bounce statistics."""
+    n = config.target_nodes
+    return stats.collect_run(config, stats.log_grid(min(100, n), n, 20),
+                             stats.log_grid(min(10, n), n, 10), bounce=True)
+
+
+def kernel_collect(config):
+    """``collect(config)`` with its steps and statistics taken by the
+    kernel."""
+    assert engine._kernel() is not None
+    return collect(config)
+
+
+def assert_same_run(got, ref):
+    """The two runs' arrays, every field of their records and their bounce
+    statistics are equal, dtypes included."""
+    for name in ("parent", "positions"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for f in dataclasses.fields(stats.RunRecord):
+        assert getattr(got, f.name) == getattr(ref, f.name), f.name
+    for name in ("anchors", "tails"):
+        a, b = getattr(got.bounce, name), getattr(ref.bounce, name)
+        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b), name
+    assert got.bounce.runs == ref.bounce.runs
+
+
 def run_draws(config):
     """The 62-bit draws ``run(config)`` steps on, one per step."""
     return bit_stream(config.seed).integers(
@@ -255,13 +285,12 @@ class TestKernel:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
     def test_matches_the_python_loop(self, monkeypatch, s, n, seed):
         config = SimConfig(s, n, seed)
-        parent, positions = kernel_run(config)
+        got = kernel_collect(config)
         monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        ref_parent, ref_positions = run(config)
-        assert parent.dtype == ref_parent.dtype == np.int64
-        assert positions.dtype == ref_positions.dtype == np.int32
-        assert np.array_equal(parent, ref_parent)
-        assert np.array_equal(positions, ref_positions)
+        ref = collect(config)
+        assert got.parent.dtype == np.int64
+        assert got.positions.dtype == np.int32
+        assert_same_run(got, ref)
 
     # every shape of 1 to 11 steps up to s=6, each on 20 seeds
     @needs_gcc
@@ -269,12 +298,10 @@ class TestKernel:
         (s, n) for s in range(1, 7) for n in range(2, 13) if s * (n - 1) < 12])
     def test_short_runs_match_the_python_loop(self, monkeypatch, s, n):
         configs = [SimConfig(s, n, seed) for seed in range(20)]
-        runs = [kernel_run(config) for config in configs]
+        runs = [kernel_collect(config) for config in configs]
         monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        for config, (parent, positions) in zip(configs, runs):
-            ref_parent, ref_positions = run(config)
-            assert np.array_equal(parent, ref_parent)
-            assert np.array_equal(positions, ref_positions)
+        for config, got in zip(configs, runs):
+            assert_same_run(got, collect(config))
 
     # seed 0's generator has all four state halves at 2**63 or above,
     # seed 2**64 - 1's two of them: the top of the unsigned range that the
@@ -286,11 +313,9 @@ class TestKernel:
     def test_edge_seeds_match_the_python_loop(self, monkeypatch, s, n, seed):
         assert max(engine.pcg64_halves(bit_stream(seed))) >= 2 ** 63
         config = SimConfig(s, n, seed)
-        parent, positions = kernel_run(config)
+        got = kernel_collect(config)
         monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        ref_parent, ref_positions = run(config)
-        assert np.array_equal(parent, ref_parent)
-        assert np.array_equal(positions, ref_positions)
+        assert_same_run(got, collect(config))
 
     @needs_gcc
     def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(self):
@@ -389,7 +414,7 @@ class TestKernel:
 
         class Kernel:
             def walk(self, s, n, state_hi, state_lo, inc_hi, inc_lo, total,
-                     positions, parent):
+                     positions, parent, tally):
                 calls.append((gc.isenabled(), s, n, total,
                               state_hi << 64 | state_lo, inc_hi << 64 | inc_lo))
                 return 101

@@ -318,6 +318,15 @@ class TestReplicaRuns:
                                             jobs=100_000)] == expected
         assert made == [3, "shutdown", 2]
 
+    def test_a_cell_that_cannot_pool_never_counts_the_cpus(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("a cell in one process asked os.cpu_count")
+
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        assert len(run_cell(2, 50, 3, 5, jobs=1)) == 3
+        assert len(run_cell(2, 50, 1, 5, jobs=2)) == 1
+
     def test_exit_stops_the_workers(self):
         # in a fresh interpreter: cells in process load no pool module; a
         # pooled cell's workers are gone once the interpreter has exited,
@@ -415,15 +424,17 @@ class TestInvariantChecker:
          "parity change count differs from self-loop count"),
         (regraft_within_an_epoch, "attachment parity mixed within epochs"),
         (add_to("leaf_count"), "non-leaf count identity violated"),
+        (add_to("max_depth"), "max_depth differs from the arrays"),
     ], ids=["truncated", "position-1", "position-n", "parent-not-older",
             "position-unborn", "stay-off-root", "no-edge", "parent-moved",
-            "parity-flip", "parity-count", "epoch-mixed", "leaf-count"])
+            "parity-flip", "parity-count", "epoch-mixed", "leaf-count",
+            "record-field"])
     def test_each_law_reports_its_violation(self, monkeypatch, change,
                                             message):
         collect = harness.collect_run
 
-        def corrupted(config):
-            res = collect(config)
+        def corrupted(config, *grids):
+            res = collect(config, *grids)
             change(res)
             return res
         monkeypatch.setattr(harness, "collect_run", corrupted)

@@ -121,7 +121,7 @@ def visit_counts(res):
 
 
 class TestReferenceStepper:
-    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_summary_matches_reference(self, s, n):
         grid, cp_grid = log_grid(min(100, n), n, 20), log_grid(min(10, n), n, 10)
