@@ -34,7 +34,7 @@
  * Generator.integers(0, 2**62), the draws of engine.run, is that output
  * >> 2: Lemire's method on a power-of-two range never rejects and keeps the
  * top bits. Without unsigned __int128 (a 32-bit gcc) the file does not
- * compile, and the package steps in Python on numpy's draws. */
+ * compile, and nrrw stops with its one error: it has no other stepper. */
 typedef unsigned __int128 u128;
 
 typedef struct {
@@ -265,7 +265,7 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
     return i;
 }
 
-/* Runs samples star processes of nrrw.oracles.simulate_star one after
+/* Runs samples star processes (tests/reference.py's simulate_star) one after
  * another on the PCG64 generator of the given state and increment: the
  * centre starts with one leaf and a parent edge of the given weight, the
  * walker on the centre. A step from the centre draws r and stops the

@@ -15,7 +15,19 @@ from .harness import output_root, write_lines, write_stats
 from .stats import RunStats, collect_run, leaves_csv, log_grid, visits_csv
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a command that steps without a kernel exits 1
+    with the kernel's one error line, as nrrw cannot run without it."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except engine.KernelUnavailable as exc:
+            click.echo(str(exc), err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """No Restart Random Walk simulator and verification harness."""
 

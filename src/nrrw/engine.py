@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import gc
 import math
 import os
 import shutil
@@ -34,6 +33,10 @@ NO_PARENT = -1
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+class KernelUnavailable(RuntimeError):
+    """The step kernel could not be built or loaded: nrrw cannot run."""
 
 
 class ResourceExhausted(RuntimeError):
@@ -134,8 +137,7 @@ class Tally(ctypes.Structure):
     of one ``int64`` array, the bounce arrays of one ``int32`` array, and
     the renewal gaps have an array of their own. ``views`` keeps each by
     field name: the tally holds only their addresses, so they live as long
-    as it does. ``run`` sets ``filled`` when the kernel took the run's
-    steps, and so wrote the rest."""
+    as it does."""
 
     _fields_ = ([(name, ctypes.c_void_p) for name in ("sizes", "checkpoints")]
                 + [(name, ctypes.c_int64)
@@ -146,7 +148,6 @@ class Tally(ctypes.Structure):
                 + [(name, ctypes.c_int64) for name in (
                     "neutral", "n_degrees", "leaf_count", "max_depth",
                     "root_visits", "loops", "root_last_visit")])
-    filled = False
 
     def __init__(self, config: SimConfig, sizes: list[int],
                  checkpoints: list[int], bounce: bool):
@@ -204,104 +205,50 @@ def run(config: SimConfig, tally: Tally | None = None
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
     to the same stream. The compiled kernel takes the steps in one call,
     stepping the stream's PCG64 generator itself from the state and
-    increment of ``bit_stream(seed)``; where no kernel could be built, the
-    Python loop ``_walk`` steps on one ``integers`` call's draws. Both give
-    the same arrays.
+    increment of ``bit_stream(seed)``: the draws numpy's ``integers(0,
+    2**62)`` would give, which ``tests/reference.py`` steps a Python loop
+    on.
 
     The kernel steps off a non-root vertex without a child, whose one
     neighbour is the parent the walker came from, straight back to the
     previous position: it keeps one byte per vertex saying whether it has
     a child and never loads such a leaf's list. At even s about half the
     steps start on a leaf. The step still uses up its draw, as ``r % 1``
-    in ``_walk`` does, so each later step reads the same draw.
+    would, so each later step reads the same draw.
 
     With a ``tally``, the kernel also takes the run's statistics as it
-    steps, from what its loop holds (``_walk.c`` says how), and ``run``
-    marks the tally ``filled``. The Python loop takes none: where it steps,
-    ``stats.derive_record`` derives them from the arrays. A new statistic is
-    therefore a kernel tally, its numpy derivation, which criterion 9 and
-    the kernel tests hold the tally to, and its streamed value in the tests'
-    reference summary.
+    steps, from what its loop holds (``_walk.c`` says how). A new statistic
+    is therefore a kernel tally, its numpy derivation in
+    ``stats.derive_record``, which criterion 9 and the kernel tests hold
+    the tally to, and its streamed value in the tests' reference summary.
 
-    The cyclic garbage collector is off while the steps run (and back on
-    after them only if the caller had it on): the Python loop allocates one
-    list per attached vertex, which would trigger collections, and makes no
-    reference cycles for them to free. Running out of memory raises
+    Every run loads the kernel, a 0-step run too (``KernelUnavailable``
+    where it cannot be built). Running out of memory raises
     ``ResourceExhausted`` with the progress reached.
     """
     s, n = config.step_parameter, config.target_nodes
     total = config.total_steps
+    kernel = _kernel()
     taken = 0
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        gen = bit_stream(config.seed)
-        positions = np.empty(total, dtype=np.int32)
+        # a room of one entry at least: from_buffer takes no empty array
+        positions = np.empty(max(total, 1), dtype=np.int32)
         parent = np.full(n, NO_PARENT, dtype=np.int64)
-        # a 0-step run has no buffer to hand the kernel
-        kernel = _kernel() if total else None
-        if kernel:
-            taken = kernel.walk(s, n, *pcg64_halves(gen), total,
-                                ctypes.c_int32.from_buffer(positions),
-                                ctypes.c_int64.from_buffer(parent), tally)
-            if tally is not None:
-                tally.filled = taken == total
-        else:
-            draws = gen.integers(0, _DRAW_BOUND, size=total, dtype=np.uint64)
-            taken = _walk(s, n, draws, total, positions, parent)
+        taken = kernel.walk(s, n, *pcg64_halves(bit_stream(config.seed)),
+                            total, ctypes.c_int32.from_buffer(positions),
+                            ctypes.c_int64.from_buffer(parent), tally)
         if taken < total:
             raise MemoryError
     except MemoryError as exc:
         raise ResourceExhausted(f"out of memory at clock {taken}",
                                 vertices_built=1 + taken // s,
                                 clock=taken) from exc
-    finally:
-        if collecting:
-            gc.enable()
-    return parent, positions
-
-
-_LIST_DRAWS = 1 << 15
-
-
-def _walk(s: int, n: int, draws: np.ndarray, total: int,
-          positions: np.ndarray, parent: np.ndarray) -> int:
-    """The stepping loop on Python lists, with the kernel's call shape: the
-    reference the kernel is tested against, and the stepper where no
-    kernel could be built. Takes a step per draw, writes the positions to
-    ``positions`` and the attached vertices' parents to ``parent``, and
-    returns the number of steps taken with their attachments, fewer than
-    ``total`` only when out of memory."""
-    nb = [[ROOT, ROOT]]
-    path: list[int] = []
-    record = path.append
-    pos, until_attach = ROOT, s
-    try:
-        # a list of at most _LIST_DRAWS draws at a time: one of the whole
-        # run would take about 40 bytes a step
-        for start in range(0, total, _LIST_DRAWS):
-            for r in draws[start:start + _LIST_DRAWS].tolist():
-                here = nb[pos]
-                pos = here[r % len(here)]
-                record(pos)
-                until_attach -= 1
-                if not until_attach:
-                    child = len(nb)
-                    nb[pos].append(child)
-                    nb.append([pos])
-                    parent[child] = pos
-                    until_attach = s
-    except MemoryError:
-        # a step whose vertex did not attach is not taken
-        return len(path) - (until_attach == 0)
-    positions[:] = path
-    return total
+    return parent, positions[:total]
 
 
 # The kernel is built with the system gcc on first use in a process, into
 # a per-user cache keyed by the source and the flags, and loaded with ctypes;
-# a process that cannot build it steps in Python and takes depths by pointer
-# jumping, after one note.
+# nrrw has no other stepper, so a process that cannot build it cannot run.
 _KERNEL_SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -309,15 +256,15 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 @functools.cache
 def _kernel():
     """The compiled kernel library, exporting ``walk`` (``run``'s steps),
-    ``star`` (``oracles.sample_star``) and ``depths`` (``stats.depths``), or
-    None when it cannot be built. Fixes the heap's thresholds first."""
+    ``star`` (``oracles.sample_star``) and ``depths`` (``stats.depths``).
+    Fixes the heap's thresholds first. Raises ``KernelUnavailable`` when
+    the library cannot be built or loaded; a later call tries again."""
     _fix_heap_thresholds()
     try:
         lib = ctypes.CDLL(str(_kernel_library()))
     except (OSError, subprocess.SubprocessError) as exc:
-        print(f"nrrw: no C step kernel ({exc}); stepping in Python, "
-              "several times slower", file=sys.stderr)
-        return None
+        raise KernelUnavailable(
+            f"nrrw needs gcc to build its step kernel: {exc}") from exc
     halves = (ctypes.c_uint64,) * 4  # a PCG64 state, as pcg64_halves
     i64, p_i64 = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
     lib.walk.argtypes = (i64, i64, *halves, i64,

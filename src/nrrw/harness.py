@@ -212,9 +212,9 @@ def run_cell(s: int, nodes: int, replicas: int, base_seed: int,
 
 # The process pool of pooled cells, kept from the first cell that needs one
 # to interpreter exit unless ``_shared_pool`` replaces it: (executor, its
-# worker count, the kernel its workers were forked with). Each idle worker
-# holds its numpy and kernel pages and the heap its replicas left, up to
-# glibc's 64 MiB trim threshold (``engine._fix_heap_thresholds``).
+# worker count). Each idle worker holds its numpy and kernel pages and the
+# heap its replicas left, up to glibc's 64 MiB trim threshold
+# (``engine._fix_heap_thresholds``).
 _pool: Optional[tuple] = None
 
 
@@ -222,20 +222,17 @@ def _shared_pool(workers: int):
     """The process's pool of ``workers`` workers and whether it is new.
 
     The pool is started on first need, after the kernel has loaded, so the
-    forked workers inherit it (or its absence, and its one note). It is
-    replaced when a cell asks for another worker count, or when the kernel
-    loaded now is not the one the workers were forked with, as after
-    ``engine._kernel.cache_clear()``. The workers run the code as it stood
-    when they were forked."""
+    forked workers inherit it, and a process without one starts no pool.
+    It is replaced when a cell asks for another worker count. The workers
+    run the code as it stood when they were forked."""
     global _pool
     from concurrent.futures import ProcessPoolExecutor
-    kernel = engine._kernel()
     if _pool is not None:
-        pool, size, forked_with = _pool
-        if size == workers and forked_with is kernel:
-            return pool, False
+        if _pool[1] == workers:
+            return _pool[0], False
         shutdown_pool()
-    _pool = (ProcessPoolExecutor(max_workers=workers), workers, kernel)
+    engine._kernel()
+    _pool = (ProcessPoolExecutor(max_workers=workers), workers)
     return _pool[0], True
 
 

@@ -1,9 +1,8 @@
 """Closed-form reference results and the growing star process.
 
 Everything here is either an exact rational formula, a provably bounded
-numerical evaluation, or a direct simulation of the growing star, used as
-ground truth by the verification suites. All functions are pure apart from
-an explicit rng.
+numerical evaluation, or a seeded sample of the growing star, used as
+ground truth by the verification suites. All functions are pure.
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from . import engine
-from .engine import PrngStream
 
 NON_ROOT = "non-root"
 ROOT_VARIANT = "root"
@@ -232,60 +229,22 @@ def star_tail_enumerated(s: int, k: int, variant: str = NON_ROOT) -> Fraction:
     return survive(0, True, 1, Fraction(1))
 
 
-@dataclass(frozen=True)
-class StarRunResult:
-    stop_time: Optional[int]  # None if censored at max_time
-    center_degree: int
-
-
-def simulate_star(spec: StarProcessSpec, rng: PrngStream) -> StarRunResult:
-    """One exact trajectory of the star process.
-
-    Returns the parent-hitting time (odd, or None if the run hit ``max_time``
-    first) and the center's final degree including the parent edge weight.
-    """
-    w = spec.parent_weight
-    s = spec.step_parameter
-    leaves = 1
-    at_center = True
-    t = 0
-    stop: Optional[int] = None
-    while t < spec.max_time:
-        t += 1
-        if at_center:
-            i = rng.randbelow(leaves + w)
-            if i < w:
-                stop = t
-                break
-            at_center = False
-        else:
-            at_center = True
-        if t % s == 0:
-            leaves += 1
-    return StarRunResult(stop, leaves + w)
-
-
 def sample_star(spec: StarProcessSpec, seed: int, samples: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """``samples`` trajectories of the star process, one after another on
-    the stream of ``PrngStream(seed)``: each one's stop time (0 where
-    ``simulate_star`` gives None) and centre degree, as two ``int64``
-    arrays. The kernel's ``star`` draws them where it could be built,
-    ``simulate_star`` elsewhere; both give the same values."""
-    stop = np.zeros(samples, dtype=np.int64)
-    degree = np.empty(samples, dtype=np.int64)
-    kernel = engine._kernel() if samples else None
-    if kernel:
-        kernel.star(spec.step_parameter, spec.parent_weight, spec.max_time,
-                    *engine.pcg64_halves(engine.bit_stream(seed)), samples,
-                    ctypes.c_int64.from_buffer(stop),
-                    ctypes.c_int64.from_buffer(degree))
-        return stop, degree
-    rng = PrngStream(seed)
-    for j in range(samples):
-        res = simulate_star(spec, rng)
-        stop[j], degree[j] = res.stop_time or 0, res.center_degree
-    return stop, degree
+    the stream of ``engine.bit_stream(seed)``, drawn by the kernel's
+    ``star``: each one's stop time (odd, or 0 if the run reached
+    ``spec.max_time`` first) and the centre's final degree, parent edge
+    weight included, as two ``int64`` arrays."""
+    kernel = engine._kernel()
+    # rooms of one entry at least: from_buffer takes no empty array
+    stop = np.empty(max(samples, 1), dtype=np.int64)
+    degree = np.empty(max(samples, 1), dtype=np.int64)
+    kernel.star(spec.step_parameter, spec.parent_weight, spec.max_time,
+                *engine.pcg64_halves(engine.bit_stream(seed)), samples,
+                ctypes.c_int64.from_buffer(stop),
+                ctypes.c_int64.from_buffer(degree))
+    return stop[:samples], degree[:samples]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import ctypes
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,9 +41,8 @@ class Bounce:
 @dataclass(kw_only=True)
 class RunRecord:
     """The picklable statistics of one run, each declared once here with the
-    value a failed replica keeps. ``collect_run`` fills them, from the
-    kernel's tallies (``tallied_record``) or, where no kernel took the
-    steps, from the arrays (``derive_record``), and ``harness.ReplicaSummary``
+    value a failed replica keeps. ``collect_run`` fills them from the
+    kernel's tallies (``tallied_record``), and ``harness.ReplicaSummary``
     ships them. A new per-run statistic is a field here, a tally in the
     kernel read by ``tallied_record``, its numpy derivation in
     ``derive_record``, which criterion 9 and the kernel tests hold the tally
@@ -65,18 +63,13 @@ class RunRecord:
 
 @dataclass(kw_only=True)
 class RunStats(RunRecord):
-    """One run's arrays and its statistics."""
+    """One run's arrays and its statistics; ``bounce`` only if
+    ``collect_run`` was asked for it."""
 
     config: SimConfig
     parent: np.ndarray
     positions: np.ndarray
-
-    @cached_property
-    def bounce(self) -> Bounce:
-        """Derived from the arrays on first access, unless ``collect_run``
-        took them with the rest."""
-        return bounce_statistics(self.config.step_parameter, self.parent,
-                                 self.positions)
+    bounce: Optional[Bounce] = None
 
 
 def collect_run(config: SimConfig,
@@ -92,10 +85,7 @@ def collect_run(config: SimConfig,
     skipped.
 
     The kernel takes every statistic as it steps, and with ``bounce`` the
-    bounce statistics too (``engine.Tally``). Where it does not take the
-    steps (no kernel could be built, or the run has none), ``derive_record``
-    derives them from the arrays. Bounce statistics not taken are derived
-    from the arrays on first access.
+    bounce statistics too (``engine.Tally``).
     """
     n = config.target_nodes
     sizes = [g for g in sorted(set(snapshot_grid or [])) if g <= n]
@@ -104,14 +94,9 @@ def collect_run(config: SimConfig,
     tally = engine.Tally(config, [max(g, 1) for g in sizes], checkpoints,
                          bounce)
     parent, positions = run(config, tally)
-    if tally.filled:
-        record = tallied_record(tally, sizes)
-    else:
-        record = derive_record(config, parent, positions, snapshot_grid,
-                               checkpoint_grid)
     res = RunStats(config=config, parent=parent, positions=positions,
-                   **vars(record))
-    if tally.filled and bounce:
+                   **vars(tallied_record(tally, sizes)))
+    if bounce:
         anchors, tails = tally.views["anchors"], tally.views["tails"]
         # a run is followed from the anchor before its first return on,
         # counting down: it starts at a positive tail after a zero one
@@ -148,8 +133,8 @@ def derive_record(config: SimConfig, parent: np.ndarray, positions: np.ndarray,
                   checkpoint_grid: Optional[Sequence[int]] = None
                   ) -> RunRecord:
     """The record of a run derived with numpy passes over its arrays, on the
-    grids of ``collect_run``: its statistics where no kernel took the steps,
-    and the reference criterion 9 holds the kernel's tallies to."""
+    grids of ``collect_run``: the second computation criterion 9 and the
+    kernel tests hold the kernel's tallies to."""
     s, n = config.step_parameter, config.target_nodes
     at_root = positions == ROOT
     loops = at_root & np.concatenate(([True], at_root[:-1]))
@@ -179,27 +164,19 @@ def derive_record(config: SimConfig, parent: np.ndarray, positions: np.ndarray,
 
 
 def depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex. With the kernel, in one pass in label order,
-    as every parent is older than its child (a parent that is not raises
-    ``ValueError``); without it, by pointer jumping: ``depth[v]`` is the
-    distance from ``v`` to its ancestor ``up[v]``, and each pass doubles it
-    until every ``up`` is the root."""
-    kernel = engine._kernel() if len(parent) else None
-    if kernel:
-        # int64 and C-contiguous for the kernel, held here for the call,
-        # and writable for from_buffer: a read-only parent is copied
-        parent = np.require(parent, np.int64, "CW")
-        depth = np.empty(len(parent), dtype=np.int64)
-        bad = kernel.depths(len(parent), ctypes.c_int64.from_buffer(parent),
-                            ctypes.c_int64.from_buffer(depth))
-        if bad:
-            raise ValueError(f"parent[{bad}] = {parent[bad]} is not an older "
-                             "vertex")
-        return depth
-    up = np.maximum(parent, ROOT)
-    depth = (up != np.arange(len(up))).astype(np.int64)
-    while up.any():
-        depth, up = depth + depth[up], up[up]
+    """Depth of every vertex, in one pass of the kernel in label order, as
+    every parent is older than its child; a parent that is not raises
+    ``ValueError``."""
+    kernel = engine._kernel()
+    # int64 and C-contiguous for the kernel, held here for the call, and
+    # writable for from_buffer: a read-only parent is copied
+    parent = np.require(parent, np.int64, "CW")
+    depth = np.empty(len(parent), dtype=np.int64)
+    bad = kernel.depths(len(parent), ctypes.c_int64.from_buffer(parent),
+                        ctypes.c_int64.from_buffer(depth))
+    if bad:
+        raise ValueError(f"parent[{bad}] = {parent[bad]} is not an older "
+                         "vertex")
     return depth
 
 
@@ -235,40 +212,6 @@ def renewals(parent: np.ndarray) -> np.ndarray:
     labels = np.arange(1, len(parent))
     par = parent[1:]
     return labels[(par != ROOT) & (first_children(parent)[par] == labels)]
-
-
-def bounce_statistics(s: int, parent: np.ndarray,
-                      positions: np.ndarray) -> Bounce:
-    """Bounce runs from the walker's positions at even times t0 >= s.
-
-    The degree of a vertex at time t counts the children born by then:
-    child ``j`` attaches at time ``j * s``. The warm-up before the first
-    attachment is left out, matching the bounce lemma's premise (the forced
-    self-loops there would contribute degenerate certain returns).
-    """
-    n = len(parent)
-    times = np.arange(s + s % 2, len(positions) + 1, 2)
-    where = positions[times - 1].astype(np.int64)
-    by_parent = np.argsort(parent[1:], kind="stable")
-    child_keys = parent[1:][by_parent] * n + by_parent + 1
-    born = (np.searchsorted(child_keys, where * n + times // s, side="right")
-            - np.searchsorted(child_keys, where * n))
-    deg = born + 1 + (where == ROOT)
-
-    # same[k]: the walker is back at anchor k - 1's vertex at anchor k
-    same = np.zeros(len(where), dtype=np.int8)
-    same[1:] = where[1:] == where[:-1]
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], same, [0]))))
-    starts, ends = edges[0::2], edges[1::2]  # maximal runs same[starts:ends]
-    lengths = ends - starts
-    returns = np.flatnonzero(same)
-    follow = np.zeros(len(where), dtype=np.int32)
-    follow[returns - 1] = np.repeat(ends, lengths) - returns  # left in its run
-    return Bounce(
-        anchors=deg.astype(np.int32),
-        tails=follow,
-        runs=list(zip(deg[starts - 1].tolist(), lengths.tolist())),
-    )
 
 
 def log_grid(lo: int, hi: int, points: int) -> list[int]:

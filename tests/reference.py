@@ -1,18 +1,136 @@
 """Reference computations that the code in ``src/`` is tested against:
-slow exact evaluations, and the biased lazy walk behind
+slow exact evaluations, second implementations of the step kernel's walk,
+star sampler and bounce statistics, and the biased lazy walk behind
 ``oracles.GEOMETRIC_RETURN_RATE``."""
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from nrrw import oracles, stats
-from nrrw.engine import PrngStream, bit_stream
+from nrrw.engine import (
+    _DRAW_BOUND, NO_PARENT, ROOT, PrngStream, SimConfig, bit_stream,
+)
 
 _UNIT = 1 << 53
 _BLOCK_DRAWS = 1 << 21
+_LIST_DRAWS = 1 << 15
+
+
+def walk(s: int, n: int, draws: np.ndarray, positions: np.ndarray,
+         parent: np.ndarray) -> None:
+    """The stepping loop of the kernel's ``walk`` on Python lists: takes a
+    step per draw, writes the positions to ``positions`` and the attached
+    vertices' parents to ``parent``."""
+    nb = [[ROOT, ROOT]]
+    path: list[int] = []
+    record = path.append
+    pos, until_attach = ROOT, s
+    # a list of at most _LIST_DRAWS draws at a time: one of the whole run
+    # would take about 40 bytes a step
+    for start in range(0, len(draws), _LIST_DRAWS):
+        for r in draws[start:start + _LIST_DRAWS].tolist():
+            here = nb[pos]
+            pos = here[r % len(here)]
+            record(pos)
+            until_attach -= 1
+            if not until_attach:
+                child = len(nb)
+                nb[pos].append(child)
+                nb.append([pos])
+                parent[child] = pos
+                until_attach = s
+    positions[:] = path
+
+
+def run_draws(config: SimConfig) -> np.ndarray:
+    """The 62-bit draws ``engine.run(config)`` steps on, one per step, from
+    numpy's own ``integers``."""
+    return bit_stream(config.seed).integers(
+        0, _DRAW_BOUND, size=config.total_steps, dtype=np.uint64)
+
+
+def run(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``engine.run(config)``'s ``(parent, positions)`` from ``walk`` on
+    ``run_draws(config)``."""
+    positions = np.empty(config.total_steps, dtype=np.int32)
+    parent = np.full(config.target_nodes, NO_PARENT, dtype=np.int64)
+    walk(config.step_parameter, config.target_nodes, run_draws(config),
+         positions, parent)
+    return parent, positions
+
+
+def bounce_statistics(s: int, parent: np.ndarray,
+                      positions: np.ndarray) -> stats.Bounce:
+    """Bounce runs from the walker's positions at even times t0 >= s, by
+    numpy passes over the run's arrays.
+
+    The degree of a vertex at time t counts the children born by then:
+    child ``j`` attaches at time ``j * s``. The warm-up before the first
+    attachment is left out, matching the bounce lemma's premise (the forced
+    self-loops there would contribute degenerate certain returns).
+    """
+    n = len(parent)
+    times = np.arange(s + s % 2, len(positions) + 1, 2)
+    where = positions[times - 1].astype(np.int64)
+    by_parent = np.argsort(parent[1:], kind="stable")
+    child_keys = parent[1:][by_parent] * n + by_parent + 1
+    born = (np.searchsorted(child_keys, where * n + times // s, side="right")
+            - np.searchsorted(child_keys, where * n))
+    deg = born + 1 + (where == ROOT)
+
+    # same[k]: the walker is back at anchor k - 1's vertex at anchor k
+    same = np.zeros(len(where), dtype=np.int8)
+    same[1:] = where[1:] == where[:-1]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], same, [0]))))
+    starts, ends = edges[0::2], edges[1::2]  # maximal runs same[starts:ends]
+    lengths = ends - starts
+    returns = np.flatnonzero(same)
+    follow = np.zeros(len(where), dtype=np.int32)
+    follow[returns - 1] = np.repeat(ends, lengths) - returns  # left in its run
+    return stats.Bounce(
+        anchors=deg.astype(np.int32),
+        tails=follow,
+        runs=list(zip(deg[starts - 1].tolist(), lengths.tolist())),
+    )
+
+
+@dataclass(frozen=True)
+class StarRunResult:
+    stop_time: Optional[int]  # None if censored at max_time
+    center_degree: int
+
+
+def simulate_star(spec: oracles.StarProcessSpec,
+                  rng: PrngStream) -> StarRunResult:
+    """One exact trajectory of the star process, the reference of
+    ``oracles.sample_star``.
+
+    Returns the parent-hitting time (odd, or None if the run hit ``max_time``
+    first) and the center's final degree including the parent edge weight.
+    """
+    w = spec.parent_weight
+    s = spec.step_parameter
+    leaves = 1
+    at_center = True
+    t = 0
+    stop: Optional[int] = None
+    while t < spec.max_time:
+        t += 1
+        if at_center:
+            i = rng.randbelow(leaves + w)
+            if i < w:
+                stop = t
+                break
+            at_center = False
+        else:
+            at_center = True
+        if t % s == 0:
+            leaves += 1
+    return StarRunResult(stop, leaves + w)
 
 
 def uniform(rng: PrngStream) -> float:

@@ -2,10 +2,8 @@
 determinism and exports."""
 
 import dataclasses
-import gc
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,15 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrrw import engine, harness, stats
+from nrrw import engine, harness, oracles, stats
 from nrrw.engine import (
-    NO_PARENT, ROOT, ConfigError, PrngStream, ResourceExhausted, SimConfig,
-    bit_stream, dot_lines, edge_list_lines, run, trajectory_lines,
+    NO_PARENT, ROOT, ConfigError, KernelUnavailable, PrngStream,
+    ResourceExhausted, SimConfig, bit_stream, dot_lines, edge_list_lines, run,
+    trajectory_lines,
 )
 from nrrw.harness import run_cell
 from nrrw.stats import depths, first_children, walk_degrees
 
-from reference import uniform
+import reference
+from reference import run_draws, uniform
 
 
 class TestSimConfig:
@@ -132,50 +132,6 @@ class TestRun:
         assert np.array_equal(p1, p2)
         assert np.array_equal(pos1, pos2)
 
-    @pytest.mark.parametrize("collecting", [True, False])
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_collector_off_in_the_loop_and_restored(self, monkeypatch,
-                                                    collecting, fails):
-        seen = []
-
-        class Probe:
-            """The run's bit stream, noting whether the collector is on
-            when the run reads it: the kernel reads its state, the Python
-            loop its draws."""
-
-            def __init__(self, seed):
-                self.gen = bit_stream(seed)
-
-            def read(self):
-                seen.append(gc.isenabled())
-                if fails:
-                    raise MemoryError
-                return self.gen
-
-            @property
-            def bit_generator(self):
-                return self.read().bit_generator
-
-            def integers(self, *args, **kwargs):
-                return self.read().integers(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "bit_stream", Probe)
-        was = gc.isenabled()
-        # with the kernel, if it can be built, then in the Python loop
-        for kernel in (engine._kernel, lambda: None):
-            monkeypatch.setattr(engine, "_kernel", kernel)
-            (gc.enable if collecting else gc.disable)()
-            try:
-                if fails:
-                    with pytest.raises(ResourceExhausted):
-                        run(SimConfig(2, 40_000, seed=3))
-                else:
-                    run(SimConfig(2, 40_000, seed=3))
-                assert gc.isenabled() == collecting
-            finally:
-                (gc.enable if was else gc.disable)()
-        assert len(seen) == 2 and not any(seen)
-
     def test_seeds_decorrelate(self):
         p1, _ = run(SimConfig(2, 500, seed=0))
         p2, _ = run(SimConfig(2, 500, seed=1))
@@ -200,25 +156,12 @@ class TestRun:
         assert loops % 2 == (depth[trail[-1]] + len(positions)) % 2
 
 
-@pytest.fixture
-def fresh_loader():
-    """Forget the loaded kernel before and after the test, so that the
-    test's loader sees its own environment and later tests see theirs."""
-    engine._kernel.cache_clear()
-    yield
-    engine._kernel.cache_clear()
-
-
-needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
-                               reason="no gcc to build the kernel")
 SRC = Path(__file__).resolve().parents[1] / "src"
-# run in a fresh interpreter: a run's arrays, hashed, and whether the
-# kernel took its steps
+# run in a fresh interpreter: a run's arrays, hashed
 RUN_IN_CHILD = (
     "import hashlib; from nrrw import engine; "
     "p, pos = engine.run(engine.SimConfig(2, 5000, 7)); "
-    "print(engine._kernel() is not None, "
-    "hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
+    "print(hashlib.sha256(p.tobytes() + pos.tobytes()).hexdigest())")
 # run in a fresh interpreter: the minor page faults of each of four
 # collect_run calls on one 200,000-vertex config
 REPEAT_IN_CHILD = """
@@ -235,25 +178,29 @@ print(*faults)
 """
 
 
-def kernel_run(config):
-    """``run(config)`` with its steps taken by the kernel."""
-    assert engine._kernel() is not None
-    return run(config)
+def grids(n):
+    """``run_cell``'s snapshot and checkpoint grids for ``n`` vertices."""
+    return stats.log_grid(min(100, n), n, 20), stats.log_grid(min(10, n), n, 10)
 
 
 def collect(config):
     """``stats.collect_run(config)`` on ``run_cell``'s grids, with the
     bounce statistics."""
-    n = config.target_nodes
-    return stats.collect_run(config, stats.log_grid(min(100, n), n, 20),
-                             stats.log_grid(min(10, n), n, 10), bounce=True)
+    return stats.collect_run(config, *grids(config.target_nodes), bounce=True)
 
 
-def kernel_collect(config):
-    """``collect(config)`` with its steps and statistics taken by the
-    kernel."""
-    assert engine._kernel() is not None
-    return collect(config)
+def reference_collect(config):
+    """What ``collect(config)`` gives, from the reference: the arrays of
+    ``reference.run``, the record ``stats.derive_record`` derives from them
+    and ``reference.bounce_statistics``."""
+    parent, positions = reference.run(config)
+    record = stats.derive_record(config, parent, positions,
+                                 *grids(config.target_nodes))
+    return stats.RunStats(
+        config=config, parent=parent, positions=positions,
+        bounce=reference.bounce_statistics(config.step_parameter, parent,
+                                           positions),
+        **vars(record))
 
 
 def assert_same_run(got, ref):
@@ -270,67 +217,52 @@ def assert_same_run(got, ref):
     assert got.bounce.runs == ref.bounce.runs
 
 
-def run_draws(config):
-    """The 62-bit draws ``run(config)`` steps on, one per step."""
-    return bit_stream(config.seed).integers(
-        0, engine._DRAW_BOUND, size=config.total_steps, dtype=np.uint64)
-
-
 class TestKernel:
     # 90 configs, from the 0-step run (N=1) to 420,000-step runs; s=6 is
     # an even s above 4, whose walker stands on leaves about half the time
-    @needs_gcc
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 63])
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 3000, 70000])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
-    def test_matches_the_python_loop(self, monkeypatch, s, n, seed):
+    def test_matches_the_python_loop(self, s, n, seed):
         config = SimConfig(s, n, seed)
-        got = kernel_collect(config)
-        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        ref = collect(config)
+        got = collect(config)
+        ref = reference_collect(config)
         assert got.parent.dtype == np.int64
         assert got.positions.dtype == np.int32
         assert_same_run(got, ref)
 
     # every shape of 1 to 11 steps up to s=6, each on 20 seeds
-    @needs_gcc
     @pytest.mark.parametrize("s, n", [
         (s, n) for s in range(1, 7) for n in range(2, 13) if s * (n - 1) < 12])
-    def test_short_runs_match_the_python_loop(self, monkeypatch, s, n):
-        configs = [SimConfig(s, n, seed) for seed in range(20)]
-        runs = [kernel_collect(config) for config in configs]
-        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        for config, got in zip(configs, runs):
-            assert_same_run(got, collect(config))
+    def test_short_runs_match_the_python_loop(self, s, n):
+        for seed in range(20):
+            config = SimConfig(s, n, seed)
+            assert_same_run(collect(config), reference_collect(config))
 
     # seed 0's generator has all four state halves at 2**63 or above,
     # seed 2**64 - 1's two of them: the top of the unsigned range that the
     # kernel's arguments take
-    @needs_gcc
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     @pytest.mark.parametrize("s, n", [(1, 2), (2, 3), (1, 5000), (2, 5000),
                                       (3, 400), (4, 3000), (6, 70)])
-    def test_edge_seeds_match_the_python_loop(self, monkeypatch, s, n, seed):
+    def test_edge_seeds_match_the_python_loop(self, s, n, seed):
         assert max(engine.pcg64_halves(bit_stream(seed))) >= 2 ** 63
         config = SimConfig(s, n, seed)
-        got = kernel_collect(config)
-        monkeypatch.setattr(engine, "_kernel", lambda: None)  # no kernel
-        assert_same_run(got, collect(config))
+        assert_same_run(collect(config), reference_collect(config))
 
-    @needs_gcc
     def test_a_leaf_that_gains_a_child_under_the_walker_uses_its_list(self):
         # s=2, seed 5: the walker reaches the leaf 1 at t=6, where vertex 3
         # attaches to it; step 7 takes the new edge (draw odd), and step 8
         # goes from the leaf 3 back to 1
         config = SimConfig(2, 5, seed=5)
-        parent, positions = kernel_run(config)
+        parent, positions = run(config)
         assert parent.tolist() == [NO_PARENT, ROOT, ROOT, 1, 1]
         assert positions.tolist() == [0, 0, 0, 0, 0, 1, 3, 1]
         assert run_draws(config)[6] % 2 == 1
         # every such moment of a longer run: the next step reads the draw
         # against [parent, new child]
         config = SimConfig(2, 3000, seed=5)
-        parent, positions = kernel_run(config)
+        parent, positions = run(config)
         draws = run_draws(config)
         child = np.arange(1, 3000)
         at = parent[1:]
@@ -343,11 +275,10 @@ class TestKernel:
         assert np.array_equal(positions[2 * child],
                               np.where(to_child, child, parent[at]))
 
-    @needs_gcc
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_the_root_is_never_short_cut(self, s):
         config = SimConfig(s, 3000, seed=7)
-        parent, positions = kernel_run(config)
+        parent, positions = run(config)
         draws = run_draws(config).tolist()
         assert positions[0] == ROOT  # the forced self-loop at t=1
         # every step from the root reads its draw against the root's list
@@ -360,38 +291,33 @@ class TestKernel:
             stays += positions[i + 1] == ROOT
         assert stays > 1
 
-    def test_without_a_compiler_steps_in_python_after_one_note(
-            self, monkeypatch, tmp_path, capfd, fresh_loader):
-        config = SimConfig(3, 40_000, seed=5)
-        expected = run(config)
-        # a pool forked with the kernel, as an earlier test may leave
+    def test_without_a_compiler_every_path_raises_one_error(
+            self, monkeypatch, no_compiler):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        run_cell(1, 400, 4, 5, jobs=2)
-        with_kernel = set(harness._pool[0]._processes)
-        engine._kernel.cache_clear()
-        capfd.readouterr()
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setenv("PATH", str(tmp_path))
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        # first a cell on two workers, forked without the kernel in place
-        # of that pool's: capfd also captures their stderr
-        summaries = run_cell(1, 400, 4, 5, jobs=2)
-        assert harness._pool[2] is None
-        assert not with_kernel & set(harness._pool[0]._processes)
-        first, second = run(config), run(config)
-        assert engine._kernel() is None
-        note = capfd.readouterr().err.splitlines()
-        assert len(note) == 1 and "stepping in Python" in note[0]
-        assert [r.status for r in summaries] == ["ok"] * 4
-        harness.shutdown_pool()  # its workers step in Python
-        for got in (first, second):
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        harness.shutdown_pool()
+        config = SimConfig(3, 400, seed=5)
+        message = "^nrrw needs gcc to build its step kernel: gcc not found$"
+        for call in (lambda: run(config),
+                     lambda: run(SimConfig(1, 1, seed=0)),
+                     lambda: stats.collect_run(config),
+                     lambda: oracles.sample_star(
+                         oracles.StarProcessSpec(2), 5, 10),
+                     lambda: oracles.sample_star(
+                         oracles.StarProcessSpec(2), 5, 0),
+                     lambda: depths(np.array([NO_PARENT, ROOT])),
+                     lambda: run_cell(1, 400, 4, 5, jobs=2)):
+            with pytest.raises(KernelUnavailable, match=message):
+                call()
+        assert harness._pool is None  # no pool was started
 
-    def test_only_a_run_without_steps_skips_the_kernel(self, fresh_loader):
-        run(SimConfig(1, 1, seed=0))  # no steps, no buffer
-        assert engine._kernel.cache_info().currsize == 0
-        run(SimConfig(1, 2, seed=0))  # one step
+    def test_a_run_without_steps_loads_the_kernel(self, fresh_loader):
+        config = SimConfig(1, 1, seed=0)
+        parent, positions = run(config)
         assert engine._kernel.cache_info().currsize == 1
+        assert parent.tolist() == [NO_PARENT]
+        assert positions.dtype == np.int32 and positions.shape == (0,)
+        # the kernel's tally of no steps is the record of the arrays
+        assert_same_run(collect(config), reference_collect(config))
 
     def test_cache_directory(self, monkeypatch, tmp_path):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
@@ -415,8 +341,8 @@ class TestKernel:
         class Kernel:
             def walk(self, s, n, state_hi, state_lo, inc_hi, inc_lo, total,
                      positions, parent, tally):
-                calls.append((gc.isenabled(), s, n, total,
-                              state_hi << 64 | state_lo, inc_hi << 64 | inc_lo))
+                calls.append((s, n, total, state_hi << 64 | state_lo,
+                              inc_hi << 64 | inc_lo))
                 return 101
 
         monkeypatch.setattr(engine, "_kernel", lambda: Kernel())
@@ -425,23 +351,8 @@ class TestKernel:
         assert (info.value.clock, info.value.vertices_built) == (101, 51)
         # the kernel starts from the run's generator, before any draw
         pcg = bit_stream(3).bit_generator.state["state"]
-        assert calls == [(False, 2, 40_000, 79_998, pcg["state"], pcg["inc"])]
-        assert gc.isenabled()
+        assert calls == [(2, 40_000, 79_998, pcg["state"], pcg["inc"])]
 
-    def test_the_python_loop_counts_only_attached_steps(self):
-        class Full(np.ndarray):  # room for the parents of three vertices
-            def __setitem__(self, index, value):
-                if index == 3:
-                    raise MemoryError
-                super().__setitem__(index, value)
-
-        parent = np.full(10, NO_PARENT, dtype=np.int64).view(Full)
-        # vertex 3 fails to attach after step 6, so five steps count
-        taken = engine._walk(2, 10, np.arange(18, dtype=np.uint64), 18,
-                             np.empty(18, dtype=np.int32), parent)
-        assert (taken, 1 + taken // 2) == (5, 3)
-
-    @needs_gcc
     def test_the_kernel_compiles_without_warnings(self):
         result = subprocess.run(
             ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
@@ -449,14 +360,13 @@ class TestKernel:
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
-    @needs_gcc
     def test_processes_share_one_cached_library(self, tmp_path):
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
                "PYTHONPATH": os.pathsep.join(
                    [str(SRC), os.environ.get("PYTHONPATH", "")])}
         parent, positions = run(SimConfig(2, 5000, 7))
         digest = hashlib.sha256(parent.tobytes() + positions.tobytes())
-        expected = f"True {digest.hexdigest()}\n"
+        expected = f"{digest.hexdigest()}\n"
 
         def child(**extra):
             return subprocess.Popen(
@@ -479,7 +389,6 @@ class TestKernel:
         assert (after.st_ino, after.st_mtime_ns) == (built.st_ino,
                                                      built.st_mtime_ns)
 
-    @needs_gcc
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="glibc's heap thresholds")
     def test_a_repeated_run_faults_in_no_new_pages(self):

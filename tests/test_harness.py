@@ -44,15 +44,12 @@ def bounce_counts(summary: ReplicaSummary) -> tuple[dict, dict]:
 
 
 class Exhausted:
-    """A bit stream that runs out of memory when read, for its state (the
-    kernel) or its draws (the Python loop): patched in for
-    ``engine.bit_stream``, it makes every replica fail."""
+    """A bit stream that runs out of memory when the kernel reads its
+    state: patched in for ``engine.bit_stream``, it makes every replica
+    fail."""
 
     @property
     def bit_generator(self):
-        raise MemoryError
-
-    def integers(self, *args, **kwargs):
         raise MemoryError
 
 
@@ -926,6 +923,32 @@ class TestCli:
         result = runner.invoke(cli.main, ["oracle", "bounce-bound",
                                           "--d0", "2", "--kmax", "1"])
         assert result.output.splitlines()[1].startswith("1,0.75,1.414")
+
+    def test_without_a_compiler_only_the_oracles_run(self, tmp_path,
+                                                     monkeypatch, no_compiler):
+        # cells on two workers: no pool may start either
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        harness.shutdown_pool()
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"cells": [[2, 40]], "replicas": 2,
+                                    "output_dir": str(tmp_path / "exp")}))
+        run = ["--s", "2", "--nodes", "50", "--out", str(tmp_path / "out")]
+        runner = CliRunner(env={"NRRW_OUT": None})
+        error = "nrrw needs gcc to build its step kernel: gcc not found\n"
+        for args in (["simulate", *run],
+                     ["export", "--what", "tree", "--format", "dot", *run],
+                     ["export", "--what", "stats", "--format", "csv", *run],
+                     ["verify", "--suite", "invariants"],
+                     ["verify", "--suite", "star-tail"],
+                     ["experiment", "--config", str(spec), "--jobs", "2"]):
+            result = runner.invoke(cli.main, args)
+            assert isinstance(result.exception, SystemExit), args
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                1, "", error), args
+        assert harness._pool is None
+        result = runner.invoke(cli.main, ["oracle", "star-tail", "--s", "2",
+                                          "--kmax", "2"])
+        assert (result.exit_code, result.stdout) == (0, "k,p\n1,1\n2,0.5\n")
 
     def test_verify_command(self):
         runner = CliRunner()
