@@ -21,7 +21,7 @@
  * the walker's position and the one before it give the root's counts, the
  * has_child byte of an attachment point says whether the new vertex leaves
  * the leaf count as it was, each vertex's depth is its parent's plus one,
- * and the list lengths freed at the end are the walk degrees. Each one has
+ * and the list lengths read at the end are the walk degrees. Each one has
  * a numpy derivation from the run's arrays in nrrw.stats.derive_record,
  * which criterion 9 and the tests hold it to.
  */
@@ -63,26 +63,89 @@ static inline uint64_t pcg64_draw(pcg64 *g)
 }
 
 typedef struct {
-    int32_t *nb;     /* neighbours in draw order: own, or a heap array */
+    int32_t *nb;     /* neighbours in draw order: own, a block or the heap */
     uint32_t len, depth;
     int32_t own[2];  /* storage until the vertex has more than two */
 } vertex;
 
-/* A list holds two entries in own, then moves to the heap and doubles
- * whenever its length reaches a power of two: full at 2, 4, 8, ... Returns
- * -1, with x unchanged, when out of memory. Inlined, as a call per
+/* A list holds two entries in own, then doubles whenever its length
+ * reaches a power of two: full at 2, 4, 8, ..., so its capacity follows
+ * from its length. A list whose capacity is 2^c entries, 2 <= c <=
+ * TOP_CLASS, lives in a block of class c, carved from chunks the run owns.
+ * When it outgrows the block, it takes one of class c + 1 off that class's
+ * free list, or from the current chunk's unused bytes, and puts the old one
+ * on class c's free list, whose blocks keep the next one's address in their
+ * first bytes. A longer list moves to malloc, and realloc grows it, often
+ * in place: only the hub of an even s gets there. At s = 1 some list grows
+ * on about four steps in ten, and a malloc or realloc each time took over
+ * a quarter of the run. Chunks are CHUNK bytes from malloc, each starting
+ * with the address of the one before, so the run frees them in one short
+ * loop. */
+#define TOP_CLASS 10
+#define CHUNK (256 << 10)
+
+typedef struct block {
+    struct block *next;
+} block;
+
+typedef struct {
+    block *free[TOP_CLASS + 1];
+    char *bump, *end;  /* the current chunk's unused bytes */
+    block *chunks;     /* the newest chunk */
+} blocks;
+
+/* A block of class c from the current chunk, or from a new one when the
+ * current chunk has not that much left; NULL when out of memory. Its
+ * blocks are 16-byte multiples after a 16-byte link, so every block is
+ * aligned for the address it holds once free. */
+static __attribute__((noinline)) block *carve(blocks *b, unsigned c)
+{
+    size_t size = sizeof(int32_t) << c;
+    if ((size_t)(b->end - b->bump) < size) {
+        char *chunk = malloc(CHUNK);
+        if (!chunk)
+            return NULL;
+        ((block *)chunk)->next = b->chunks;
+        b->chunks = (block *)chunk;
+        b->bump = chunk + 16;
+        b->end = chunk + CHUNK;
+    }
+    b->bump += size;
+    return (block *)(b->bump - size);
+}
+
+/* Appends child to x's list, growing the list first if it is full.
+ * Returns -1, with x unchanged, when out of memory. Inlined, as a call per
  * attachment costs the loop more than its body. */
 static inline __attribute__((always_inline)) int append(vertex *x,
-                                                        int32_t child)
+                                                        int32_t child,
+                                                        blocks *b)
 {
     uint32_t len = x->len;
     if (len >= 2 && !(len & (len - 1))) {
-        size_t size = 2 * (size_t)len * sizeof *x->nb;
-        int32_t *nb = x->nb == x->own ? malloc(size) : realloc(x->nb, size);
-        if (!nb)
-            return -1;
-        if (x->nb == x->own)
-            memcpy(nb, x->own, sizeof x->own);
+        unsigned c = (unsigned)__builtin_ctz(len) + 1;  /* the new class */
+        int32_t *nb;
+        if (c > TOP_CLASS + 1) {
+            nb = realloc(x->nb, sizeof *nb << c);
+            if (!nb)
+                return -1;
+        } else {
+            block *fresh;
+            if (c > TOP_CLASS)
+                fresh = malloc(sizeof *nb << c);
+            else if ((fresh = b->free[c]))
+                b->free[c] = fresh->next;
+            else
+                fresh = carve(b, c);
+            if (!fresh)
+                return -1;
+            nb = memcpy(fresh, x->nb, len * sizeof *nb);
+            if (x->nb != x->own) {
+                block *old = (block *)x->nb;
+                old->next = b->free[c - 1];
+                b->free[c - 1] = old;
+            }
+        }
         x->nb = nb;
     }
     x->nb[x->len++] = child;
@@ -159,6 +222,7 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
         out = &none;
     vertex *v = calloc((size_t)n, sizeof *v);
     uint8_t *has_child = calloc((size_t)n, 1);
+    blocks b = {0};
     if (!v || !has_child) {
         free(v);
         free(has_child);
@@ -191,7 +255,7 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
             last = i + 1;
         }
         if (--until_attach == 0) {
-            if (append(&v[pos], (int32_t)built) != 0)
+            if (append(&v[pos], (int32_t)built, &b) != 0)
                 break;
             if (!has_child[pos]) {  /* leaf-neutral */
                 if (out->neutral_gaps)
@@ -224,8 +288,9 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
                      ? follow + 1 : 0;
         out->tails[k] = follow;
     }
-    /* The lists' lengths are the walk degrees. Each list is freed as its
-     * length is read, and a length above 1 (a leaf's is 1) moves to the
+    /* The lists' lengths are the walk degrees. A list past the largest
+     * class is freed as its length is read, the blocks go with their
+     * chunks after, and a length above 1 (a leaf's is 1) moves to the
      * front of the slots, into bytes of slots read already. The histogram
      * then counts those lengths in the slots' memory after them: at most
      * 4n + 4(n + 2) of its 24n bytes, as no list is longer than n + 1. */
@@ -233,7 +298,7 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
     int64_t inner = 0;
     for (int64_t j = 0; j < built; j++) {
         uint32_t len = v[j].len;
-        if (v[j].nb != v[j].own)
+        if (len > 1u << TOP_CLASS)
             free(v[j].nb);
         if (len > 1) {
             lens[inner++] = len;
@@ -262,6 +327,11 @@ int64_t walk(int64_t s, int64_t n, uint64_t state_hi, uint64_t state_lo,
     out->root_last_visit = last;
     free(v);
     free(has_child);
+    while (b.chunks) {
+        block *chunk = b.chunks;
+        b.chunks = chunk->next;
+        free(chunk);
+    }
     return i;
 }
 

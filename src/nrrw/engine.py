@@ -203,7 +203,11 @@ def run(config: SimConfig, tally: Tally | None = None
     children...]`` at the root (the self-loop twice) and ``[parent,
     children...]`` elsewhere, so a step indexes that list with the draw
     reduced modulo its length: the mapping ``PrngStream.randbelow`` applies
-    to the same stream. The compiled kernel takes the steps in one call,
+    to the same stream. A list of up to two entries lives in its vertex's
+    slot, one of up to 1,024 in a block of the run's own chunks, taken from
+    a free list of its size class, and a longer one on the heap
+    (``_walk.c`` says how): at s=1 some list grows on about four steps in
+    ten. The compiled kernel takes the steps in one call,
     stepping the stream's PCG64 generator itself from the state and
     increment of ``bit_stream(seed)``: the draws numpy's ``integers(0,
     2**62)`` would give, which ``tests/reference.py`` steps a Python loop

@@ -643,10 +643,10 @@ def suite_invariants(seed: int = 111):
 
 
 def check_invariants(config: SimConfig) -> list[str]:
-    """Run ``config`` and check its arrays against the process's exact laws,
-    and every statistic of its record, which the kernel takes as it steps,
-    against ``stats.derive_record`` of the arrays, on ``run_cell``'s grids;
-    returns violation messages."""
+    """Run ``config`` and check its arrays and its degree histogram against
+    the process's exact laws, and every statistic of its record, which the
+    kernel takes as it steps, against ``stats.derive_record`` of the
+    arrays, on ``run_cell``'s grids; returns violation messages."""
     errors: list[str] = []
     s, n = config.step_parameter, config.target_nodes
     grids = log_grid(min(100, n), n, 20), log_grid(min(10, n), n, 10)
@@ -692,6 +692,14 @@ def check_invariants(config: SimConfig) -> list[str]:
     degrees = stats.walk_degrees(parent)
     if int(np.sum(degrees[1:] >= 2)) + 1 != n - res.leaf_count:
         errors.append("non-leaf count identity violated")
+    # n vertices, whose walk degrees (the self-loop twice) sum to 2n, and
+    # whose degree-1 vertices are the leaves
+    counts = res.degree_counts
+    if (sum(counts.values()) != n
+            or sum(d * k for d, k in counts.items()) != 2 * n
+            or counts.get(1, 0) != res.leaf_count):
+        errors.append("degree counts do not sum to n vertices, 2n ends and "
+                      "leaf_count leaves")
     derived = stats.derive_record(config, parent, positions, *grids)
     errors.extend(f"{name} differs from the arrays" for name in _RECORD_FIELDS
                   if getattr(res, name) != getattr(derived, name))

@@ -231,6 +231,31 @@ class TestKernel:
         assert got.positions.dtype == np.int32
         assert_same_run(got, ref)
 
+    def test_the_grid_crosses_the_block_edges(self):
+        # the 70,000-vertex runs above cross the edges of _walk.c's list
+        # storage: its largest class, TOP_CLASS = 10, holds 1,024 entries
+        # (a longer list is on the heap) and its chunks are CHUNK = 256 KiB
+        top, chunk = 1 << 10, 256 << 10
+        for s in (1, 2):
+            for seed in (0, 7, 2 ** 63):
+                lengths = stats.collect_run(
+                    SimConfig(s, 70_000, seed)).degree_counts
+                # a list of l > 2 entries holds a block of class c, the
+                # least with 2^c >= l: 4 << c bytes while l <= top
+                classes = {(l - 1).bit_length() for l in lengths if l > 2}
+                held = sum((4 << (l - 1).bit_length()) * k
+                           for l, k in lengths.items() if 2 < l <= top)
+                if s == 1:
+                    # slim trees: the longest list has 16-20 entries, and
+                    # the blocks held at the end fill more than one chunk
+                    assert classes >= {2, 3, 4}
+                    assert held > chunk
+                else:
+                    # the hub passes every class, 2 to TOP_CLASS, then
+                    # moves to the heap
+                    assert classes >= set(range(2, 11))
+                    assert max(lengths) > top
+
     # every shape of 1 to 11 steps up to s=6, each on 20 seeds
     @pytest.mark.parametrize("s, n", [
         (s, n) for s in range(1, 7) for n in range(2, 13) if s * (n - 1) < 12])
@@ -359,6 +384,30 @@ class TestKernel:
              str(engine._KERNEL_SOURCE)],
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+    def test_the_kernel_runs_clean_under_the_sanitizers(self, tmp_path):
+        # sanitize_walk.c walks s = 1..4 at N = 20,000 with and without a
+        # tally. ASan sees a block overrun only at a chunk's or a heap
+        # list's end: the kernel grids hold the lists' contents to the
+        # reference.
+        flags = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                 "-g", "-O1"]
+        program = tmp_path / "sanitize_walk"
+        build = subprocess.run(
+            ["gcc", *flags, "-I", str(engine._KERNEL_SOURCE.parent), "-o",
+             str(program), str(Path(__file__).with_name("sanitize_walk.c"))],
+            capture_output=True, text=True, timeout=120)
+        if build.returncode != 0:
+            (tmp_path / "main.c").write_text("int main(void) { return 0; }\n")
+            probe = subprocess.run(
+                ["gcc", *flags, "-o", str(tmp_path / "main"),
+                 str(tmp_path / "main.c")], capture_output=True, timeout=120)
+            if probe.returncode != 0:
+                pytest.skip("gcc cannot link the sanitizers")
+        assert build.returncode == 0, build.stderr
+        result = subprocess.run([str(program)], capture_output=True,
+                                text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_processes_share_one_cached_library(self, tmp_path):
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -281,8 +282,17 @@ class TestReplicaRuns:
                             recorded_pool(calls))
         expected = [values(r) for r in run_cell(1, 400, 9, 5, jobs=1)]
         assert [values(r) for r in run_cell(1, 400, 9, 5, jobs=2)] == expected
-        old = set(harness._pool[0]._processes)
-        os.kill(min(old), signal.SIGKILL)
+        pool = harness._pool[0]
+        old = set(pool._processes)
+        killed = pool._processes[min(old)]
+        os.kill(killed.pid, signal.SIGKILL)
+        # the next map must meet the broken pool, not its surviving worker:
+        # wait until the executor has seen the death
+        killed.join(timeout=30)
+        deadline = time.monotonic() + 30
+        while not pool._broken:
+            assert time.monotonic() < deadline, "the pool never broke"
+            time.sleep(0.01)
         assert [values(r) for r in run_cell(1, 400, 9, 5, jobs=2)] == expected
         # the map on the broken pool fails, then the cell runs on a new one
         assert calls == [{"max_workers": 2}, {"chunksize": 2},
@@ -400,6 +410,10 @@ def add_to(name):
     return change
 
 
+def add_a_leaf(res):
+    res.degree_counts[1] += 1
+
+
 class TestInvariantChecker:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_clean_runs(self, s):
@@ -422,10 +436,12 @@ class TestInvariantChecker:
         (regraft_within_an_epoch, "attachment parity mixed within epochs"),
         (add_to("leaf_count"), "non-leaf count identity violated"),
         (add_to("max_depth"), "max_depth differs from the arrays"),
+        (add_a_leaf, "degree counts do not sum to n vertices, 2n ends and "
+                     "leaf_count leaves"),
     ], ids=["truncated", "position-1", "position-n", "parent-not-older",
             "position-unborn", "stay-off-root", "no-edge", "parent-moved",
             "parity-flip", "parity-count", "epoch-mixed", "leaf-count",
-            "record-field"])
+            "record-field", "degree-counts"])
     def test_each_law_reports_its_violation(self, monkeypatch, change,
                                             message):
         collect = harness.collect_run
